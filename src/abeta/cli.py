@@ -18,16 +18,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from .bounds import fekete_szego_bound, inverse_log_diff_bounds, log_diff_bounds
-from .extremal import BetaDomainError, BetaParam
+from .extremal import BetaDomainError, BetaParam, ConvergenceError
 from .radii import (
     AreaPolynomial,
+    BracketError,
     RadiusProblem,
     RootResult,
     Variant,
@@ -82,6 +82,13 @@ def parse_grid(spec: str, flag: str) -> list[float]:
         raise CliError(f"{flag}: malformed grid {spec!r} ({exc})") from exc
 
 
+def _int_grid(spec: str, flag: str) -> list[int]:
+    values = parse_grid(spec, flag)
+    if not all(v.is_integer() for v in values):
+        raise CliError(f"{flag}: expected integers, got {spec!r}")
+    return [int(v) for v in values]
+
+
 def _beta(value: float, flag: str = "--beta") -> BetaParam:
     try:
         return BetaParam(value)
@@ -118,26 +125,6 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _solve(variant: Variant, args: argparse.Namespace) -> tuple[RadiusProblem, RootResult]:
-    beta = _beta(args.beta)
-    try:
-        beta.require_strict()
-    except BetaDomainError as exc:
-        raise CliError(f"--beta: {exc}") from exc
-    try:
-        problem = RadiusProblem(
-            variant=variant,
-            beta=beta,
-            m=args.m,
-            p=args.p,
-            N=getattr(args, "N", 1),
-            F=_poly(args.poly),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    return problem, solve_radius(problem, args.tol)
-
-
 def _root_document(problem: RadiusProblem, result: RootResult) -> dict:
     return {
         "variant": problem.variant.value,
@@ -155,19 +142,23 @@ def _root_document(problem: RadiusProblem, result: RootResult) -> dict:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
-    problem, result = _solve(Variant.BOHR_SCHWARZ, args)
-    doc = _root_document(problem, result)
-    if args.out_format == "json":
-        _emit(_json_text(doc), args.out_path)
-    else:
-        keys = list(doc.keys())
-        _emit(_csv_text(keys, [[_cell(doc[k]) for k in keys]]), args.out_path)
-    return 0
-
-
-def _cmd_rogosinski(args: argparse.Namespace) -> int:
-    problem, result = _solve(Variant.BOHR_ROGOSINSKI, args)
-    doc = _root_document(problem, result)
+    beta = _beta(args.beta)
+    try:
+        beta.require_strict()
+    except BetaDomainError as exc:
+        raise CliError(f"--beta: {exc}") from exc
+    try:
+        problem = RadiusProblem(
+            variant=args.variant,
+            beta=beta,
+            m=args.m,
+            p=args.p,
+            N=getattr(args, "N", 1),
+            F=_poly(args.poly),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    doc = _root_document(problem, solve_radius(problem, args.tol))
     if args.out_format == "json":
         _emit(_json_text(doc), args.out_path)
     else:
@@ -277,8 +268,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary.all_pass else 2
 
 
-def _sweep_cell(cell: tuple[float, int, float, int, Variant, float]) -> list[str]:
-    beta, m, p, n_rog, variant, tol = cell
+def _sweep_row(
+    beta: float, m: int, p: float, n_rog: int, variant: Variant, tol: float
+) -> list[str]:
     problem = RadiusProblem(
         variant=variant, beta=BetaParam(beta), m=m, p=p, N=n_rog
     )
@@ -295,19 +287,6 @@ def _sweep_cell(cell: tuple[float, int, float, int, Variant, float]) -> list[str
     ]
 
 
-def _thread_count(n_cells: int) -> int:
-    raw = os.environ.get("ABETA_THREADS")
-    if raw is None:
-        return min(4, max(1, n_cells))
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise CliError(f"ABETA_THREADS: expected a positive integer, got {raw!r}")
-    return min(cap, max(1, n_cells))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     betas = parse_grid(args.beta_grid, "--beta-grid")
     for b in betas:
@@ -316,25 +295,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             beta.require_strict()
         except BetaDomainError as exc:
             raise CliError(f"--beta-grid: {exc}") from exc
-    ms = [int(v) for v in parse_grid(args.m, "--m")]
+    ms = _int_grid(args.m, "--m")
     ps = parse_grid(args.p, "--p")
-    ns = [int(v) for v in parse_grid(args.N, "--N")]
+    ns = _int_grid(args.N, "--N")
     variants = {
         "bohr": [Variant.BOHR_SCHWARZ],
         "rogosinski": [Variant.BOHR_ROGOSINSKI],
         "both": [Variant.BOHR_SCHWARZ, Variant.BOHR_ROGOSINSKI],
     }[args.variant]
-    cells = [
-        (beta, m, p, n, variant, args.tol)
-        for beta in betas
-        for m in ms
-        for p in ps
-        for n in ns
-        for variant in variants
+    rows = [
+        _sweep_row(beta, m, p, n, variant, args.tol)
+        for beta, m, p, n, variant in itertools.product(betas, ms, ps, ns, variants)
     ]
-    workers = _thread_count(len(cells))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(_sweep_cell, cells))  # map preserves grid order
     _emit(_csv_text(SWEEP_HEADER, rows), args.out_path)
     return 0
 
@@ -357,13 +329,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("radius", help="solve a Bohr radius equation")
     add_radius_args(p)
     add_output(p, "json")
-    p.set_defaults(func=_cmd_radius)
+    p.set_defaults(func=_cmd_radius, variant=Variant.BOHR_SCHWARZ)
 
     p = sub.add_parser("rogosinski", help="solve a Bohr-Rogosinski radius equation")
     add_radius_args(p)
     p.add_argument("--N", type=int, default=1)
     add_output(p, "json")
-    p.set_defaults(func=_cmd_rogosinski)
+    p.set_defaults(func=_cmd_radius, variant=Variant.BOHR_ROGOSINSKI)
 
     p = sub.add_parser("fs-bound", help="Fekete-Szego bound table")
     p.add_argument("--beta", type=float, required=True)
@@ -405,10 +377,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BetaDomainError, ValueError) as exc:
+    except (CliError, ValueError, BracketError, ConvergenceError) as exc:
+        # BetaDomainError is a ValueError; solver errors carry the reason.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

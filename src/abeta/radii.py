@@ -2,13 +2,15 @@
 
 Both radius equations are strictly increasing on (0, 1), negative at 0+
 and positive near 1, so each has a unique root.  The solver keeps a
-sign-change bracket at all times (bisection with secant acceleration
-inside the bracket) and reports the final bracket and residual.
+sign-change bracket at all times (the ITP method of Oliveira and
+Takahashi, ACM TOMS 47(1), 2020, which never needs more than one step
+beyond bisection) and reports the final bracket and residual.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,6 +30,11 @@ from .extremal import (
 _UPPER_CAP = 1.0 - 1e-8
 
 DEFAULT_TOL = 1e-10
+
+# Every solver step stays tol/4 inside the bracket, and the root is the
+# midpoint of a final bracket at least tol/4 wide; tol/8 must exceed the
+# spacing of doubles below 1 (2**-53) for both to hold.
+_MIN_TOL = 1e-15
 
 
 class BracketError(RuntimeError):
@@ -51,8 +58,8 @@ class AreaPolynomial:
 
     def __post_init__(self) -> None:
         lams = tuple(float(l) for l in self.lambdas)
-        if any(l < 0 for l in lams):
-            raise ValueError(f"all polynomial coefficients must be >= 0: {lams}")
+        if not all(math.isfinite(l) and l >= 0 for l in lams):
+            raise ValueError(f"all polynomial coefficients must be finite and >= 0: {lams}")
         object.__setattr__(self, "lambdas", lams)
 
     @property
@@ -178,72 +185,81 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
 
     The initial bracket starts at lo = tol and expands hi toward 1 until
     a sign change appears; the equation diverges to +inf as r -> 1, so
-    failure to bracket below the cap indicates an evaluation bug.
+    failure to bracket below the cap indicates an evaluation bug, as does
+    any non-finite equation value.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not tol >= _MIN_TOL:
+        raise ValueError(f"tol must be at least {_MIN_TOL:g}, got {tol}")
     eq = problem.equation
+    evaluations = 0
+
+    def value(r: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        y = eq(r)
+        if not math.isfinite(y):
+            raise BracketError(f"equation value at r = {r!r} is {y}, not finite")
+        return y
 
     lo = min(tol, 1e-6)
-    flo = eq(lo)
-    iterations = 1
+    flo = value(lo)
     while flo >= 0.0:
         # Root below lo (possible only for extreme inputs); shrink.
         lo /= 16.0
         if lo < 1e-300:
             raise BracketError("equation is nonnegative arbitrarily close to 0")
-        flo = eq(lo)
-        iterations += 1
+        flo = value(lo)
 
     hi = 0.5
-    fhi = eq(hi)
-    iterations += 1
+    fhi = value(hi)
     while fhi <= 0.0:
         if hi >= _UPPER_CAP:
             raise BracketError(
                 f"no sign change found below {_UPPER_CAP}; equation stuck at {fhi}"
             )
         hi = min(1.0 - 0.5 * (1.0 - hi), _UPPER_CAP)
-        fhi = eq(hi)
-        iterations += 1
+        fhi = value(hi)
 
-    # Bisection with secant acceleration, bracket maintained throughout.
+    # ITP: a regula falsi step, truncated toward the midpoint and projected
+    # into a ball around it whose radius shrinks so that no run takes more
+    # than one step beyond bisection (kappa1 = 0.2 / width, kappa2 = 2,
+    # n0 = 1).  Keeping each step tol/4 inside the bracket only moves it
+    # toward the midpoint, so the bound still holds.
+    inset = 0.25 * tol
+    kappa1 = 0.2 / (hi - lo)
+    steps_left = math.ceil(math.log2(max((hi - lo) / tol, 1.0))) + 1
     while hi - lo > tol:
-        width = hi - lo
+        steps_left -= 1
         mid = 0.5 * (lo + hi)
-        x = mid
-        if fhi != flo:
-            secant = lo - flo * width / (fhi - flo)
-            if lo + 0.01 * width < secant < hi - 0.01 * width:
-                x = secant
-        fx = eq(x)
-        iterations += 1
+        radius = tol * 2.0**steps_left - 0.5 * (hi - lo)
+        delta = kappa1 * (hi - lo) ** 2
+        x_f = lo - flo * (hi - lo) / (fhi - flo)
+        sigma = math.copysign(1.0, mid - x_f)
+        x = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        x = min(max(x, lo + inset), hi - inset)
+        fx = value(x)
         if fx == 0.0:
-            lo, flo = x - 0.25 * tol, fx - 1e-300
-            hi, fhi = x + 0.25 * tol, fx + 1e-300
+            lo, hi = x - inset, x + inset
+            flo, fhi = value(lo), value(hi)
+            if not flo < 0.0 < fhi:
+                raise BracketError(
+                    f"no sign change around the exact zero at r = {x!r}: "
+                    f"values {flo} and {fhi}"
+                )
             break
         if fx < 0.0:
             lo, flo = x, fx
         else:
             hi, fhi = x, fx
-        # Guarantee geometric shrink even when secant steps cluster.
-        if hi - lo > 0.75 * width:
-            mid = 0.5 * (lo + hi)
-            fmid = eq(mid)
-            iterations += 1
-            if fmid < 0.0:
-                lo, flo = mid, fmid
-            elif fmid > 0.0:
-                hi, fhi = mid, fmid
-            else:
-                lo, hi = mid - 0.25 * tol, mid + 0.25 * tol
-                break
 
+    iterations = evaluations
     root = 0.5 * (lo + hi)
     return RootResult(
         root=root,
         bracket=(lo, hi),
-        residual=eq(root),
+        residual=value(root),
         iterations=iterations,
     )
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import abeta
 from abeta.cli import CliError, main, parse_grid
 
 FS_B0_ROOT = 0.28519408762  # independent bisection value, beta=0, m=1
@@ -12,6 +17,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, timeout=30):
+    """The CLI in a fresh interpreter, so a traceback or a hang shows."""
+    env = dict(os.environ, PYTHONPATH=str(Path(abeta.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "abeta.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 class TestGridSyntax:
@@ -68,6 +82,25 @@ class TestRadiusCommand:
         code, _, err = run(capsys, "radius", "--beta", "0", "--bogus", "1")
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize("coeff", ["nan", "inf"])
+    def test_rejects_non_finite_poly(self, capsys, coeff):
+        code, out, err = run(capsys, "radius", "--beta", "0", "--poly", coeff)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --poly") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--p", "1e-9"),  # no sign change: the solver raises BracketError
+            ("--tol", "1e-17"),  # finer than doubles near the root resolve
+        ],
+    )
+    def test_unsolvable_input_is_one_error_line(self, flags):
+        proc = run_process("radius", "--beta", "0", *flags)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_poly_shrinks_root(self, capsys):
         _, plain_out, _ = run(capsys, "radius", "--beta", "0")
@@ -134,19 +167,11 @@ class TestSweepCommand:
         _, out2, _ = run(capsys, *args)
         assert out == out2
 
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
-        args = ("sweep", "--beta-grid", "0:0.3:0.1")
-        monkeypatch.setenv("ABETA_THREADS", "3")
-        _, out_multi, _ = run(capsys, *args)
-        monkeypatch.setenv("ABETA_THREADS", "1")
-        _, out_single, _ = run(capsys, *args)
-        assert out_multi == out_single
-
-    def test_invalid_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("ABETA_THREADS", "zero")
-        code, _, err = run(capsys, "sweep", "--beta-grid", "0:0.2:0.1")
-        assert code == 1
-        assert "ABETA_THREADS" in err
+    @pytest.mark.parametrize("flag, grid", [("--m", "1.7"), ("--N", "1,2.5"), ("--m", "inf")])
+    def test_rejects_non_integer_grids(self, capsys, flag, grid):
+        code, out, err = run(capsys, "sweep", "--beta-grid", "0.1", flag, grid)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag}:")
 
     def test_grid_must_exclude_beta_one(self, capsys):
         code, _, err = run(capsys, "sweep", "--beta-grid", "0.5,1.0")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,11 @@ class TestAreaPolynomial:
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ValueError):
             AreaPolynomial((1.0, -0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            AreaPolynomial((0.5, bad))
 
     def test_monotone_spot_check(self):
         assert monotone_spot_check(AreaPolynomial((0.3, 0.1)))
@@ -206,3 +212,51 @@ class TestSolveRadius:
 
     def test_bracket_error_type_exists(self):
         assert issubclass(BracketError, RuntimeError)
+
+    def test_non_finite_equation_value_raises(self):
+        with pytest.raises(BracketError, match="not finite"):
+            solve_radius(problem(F=lambda w: math.nan))
+
+    def test_grid_iterations_and_certificates(self):
+        # The acceptance-criterion-3 grid: beta 0-0.9, m 1-3, p 1-2, three F.
+        tol = 1e-10
+        polys = [ZERO_POLYNOMIAL, AreaPolynomial((0.5,)), AreaPolynomial((0.0, 0.25))]
+        iterations = []
+        for beta in np.arange(0.0, 0.95, 0.1):
+            for m, p, F in itertools.product((1, 2, 3), (1.0, 2.0), polys):
+                prob = problem(beta=float(beta), m=m, p=p, F=F)
+                res = solve_radius(prob, tol)
+                iterations.append(res.iterations)
+                # The documented start: lo = tol, hi = 0.5 moved halfway to
+                # 1 until the equation is positive there.
+                assert prob.equation(tol) < 0
+                hi, probes = 0.5, 2
+                while prob.equation(hi) <= 0:
+                    hi, probes = 1.0 - 0.5 * (1.0 - hi), probes + 1
+                bisection_steps = math.ceil(math.log2((hi - tol) / tol))
+                assert res.iterations - probes <= bisection_steps + 1
+                lo, hi = res.bracket
+                assert lo < res.root < hi and hi - lo <= tol
+                flo, fhi = prob.equation(lo), prob.equation(hi)
+                assert math.isfinite(flo) and math.isfinite(fhi)
+                assert flo < 0 < fhi
+        assert len(iterations) == 180
+        assert np.median(iterations) <= 12
+
+    def test_exact_zero_step_evaluates_both_bracket_ends(self):
+        tol = 1e-6
+        # The midpoint of the initial bracket (tol, 0.5): bisection and
+        # regula falsi agree on it, so the first step hits the zero exactly.
+        zero = 0.5 * (tol + 0.5)
+        seen = {}
+
+        class Linear(RadiusProblem):
+            def equation(self, r):
+                seen[r] = r - zero
+                return seen[r]
+
+        res = solve_radius(Linear(Variant.BOHR_SCHWARZ, BetaParam(0.0)), tol)
+        assert seen[zero] == 0.0
+        lo, hi = res.bracket
+        assert seen[lo] < 0 < seen[hi]
+        assert lo < res.root < hi and hi - lo <= tol
