@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .extremal import beta_value
 
 
@@ -25,7 +27,7 @@ class LogCoeffPair:
     @property
     def moduli_difference(self) -> float:
         """|second| - |first|, the quantity the sharp bounds control."""
-        return abs(self.second) - abs(self.first)
+        return complex_modulus(self.second) - complex_modulus(self.first)
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,31 @@ def psi_minus_bound(b: PsiInputs) -> float:
     return 2.0 * abs(b.B3) + b.B1 ** 2 / t
 
 
+# Complex products and moduli of member coefficients are written out in real
+# arithmetic, so a block of members (numpy arrays) rounds exactly as one
+# member (CPython complex scalars) does: numpy's complex multiply may fuse a
+# product into the sum, and its complex abs is not libm's hypot.
+def complex_product(z, w):
+    """z * w for complex scalars or arrays."""
+    return (z.real * w.real - z.imag * w.imag) + (z.real * w.imag + z.imag * w.real) * 1j
+
+
+def complex_modulus(z):
+    """|z| for complex scalars or arrays."""
+    return np.hypot(z.real, z.imag)
+
+
+def fekete_szego_functional(a2, a3, mu: float):
+    """|a3 - mu*a2^2|, for complex scalars or arrays of (a2, a3)."""
+    return complex_modulus(a3 - complex_product(mu * a2, a2))
+
+
 def log_coeffs(a2: complex, a3: complex) -> LogCoeffPair:
-    """First two logarithmic coefficients of a member from (a2, a3)."""
-    return LogCoeffPair(first=a2 / 2.0, second=(a3 - a2 * a2 / 2.0) / 2.0)
+    """First two logarithmic coefficients of a member from (a2, a3).
+
+    a2 and a3 may also be arrays, one entry per member.
+    """
+    return LogCoeffPair(first=a2 / 2.0, second=(a3 - complex_product(a2, a2) / 2.0) / 2.0)
 
 
 def inverse_coeffs(a2: complex, a3: complex) -> tuple[complex, complex]:
@@ -114,8 +138,9 @@ def inverse_coeffs(a2: complex, a3: complex) -> tuple[complex, complex]:
 
 
 def inverse_log_coeffs(a2: complex, a3: complex) -> LogCoeffPair:
-    """First two logarithmic coefficients of the inverse from (a2, a3)."""
-    return LogCoeffPair(first=-a2 / 2.0, second=-(a3 - 1.5 * a2 * a2) / 2.0)
+    """First two logarithmic coefficients of the inverse from (a2, a3),
+    which may also be arrays."""
+    return LogCoeffPair(first=-a2 / 2.0, second=-(a3 - complex_product(1.5 * a2, a2)) / 2.0)
 
 
 def _psi_inputs_log(b: float) -> PsiInputs:

@@ -20,8 +20,9 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bounds import fekete_szego_bound, inverse_log_diff_bounds, log_diff_bounds
 from .extremal import BetaDomainError, BetaParam, ConvergenceError
@@ -53,15 +54,23 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite(values: Iterable[float]) -> list[float]:
+    values = list(values)
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("values must be finite")
+    return values
+
+
 def parse_grid(spec: str, flag: str) -> list[float]:
     """Parse `start:stop:step` (start inclusive, stop exclusive beyond
-    floating tolerance), a comma list, or a single number."""
+    floating tolerance), a comma list, or a single number; every value
+    must be finite."""
     try:
         if ":" in spec:
             parts = spec.split(":")
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = _finite(float(p) for p in parts)
             if step <= 0:
                 raise ValueError("step must be positive")
             values = []
@@ -76,8 +85,8 @@ def parse_grid(spec: str, flag: str) -> list[float]:
                 raise ValueError("empty grid")
             return values
         if "," in spec:
-            return [float(p) for p in spec.split(",") if p.strip()]
-        return [float(spec)]
+            return _finite(float(p) for p in spec.split(",") if p.strip())
+        return _finite([float(spec)])
     except ValueError as exc:
         raise CliError(f"{flag}: malformed grid {spec!r} ({exc})") from exc
 
@@ -226,12 +235,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             beta.require_strict()
         except BetaDomainError as exc:
             raise CliError(f"--beta: {exc}") from exc
-    config = VerifyConfig(
-        samples=args.samples,
-        atoms=args.atoms,
-        seed=args.seed,
-        slack=args.slack,
-    )
+    try:
+        config = VerifyConfig(
+            samples=args.samples,
+            atoms=args.atoms,
+            seed=args.seed,
+            slack=args.slack,
+        )
+    except ValueError as exc:
+        # VerifyConfig names the offending field first, and these flags
+        # carry the field names.
+        raise CliError(f"--{exc}") from exc
     summary = falsification_sweep(betas, config)
     doc = {
         "beta_grid": [float(fmt(b)) for b in betas],

@@ -36,6 +36,11 @@ DEFAULT_TOL = 1e-10
 # spacing of doubles below 1 (2**-53) for both to hold.
 _MIN_TOL = 1e-15
 
+# A bracket wider than this cannot place the small radii (about 4e-3 at
+# beta = 0.99 with m = p = 1); a tol as wide as the first bracket would
+# return that bracket's midpoint, which is no root at all.
+_MAX_TOL = 1e-3
+
 
 class BracketError(RuntimeError):
     """No sign change found below the upper cap; signals an evaluation bug."""
@@ -113,8 +118,8 @@ class RadiusProblem:
         object.__setattr__(self, "beta", beta)
         if self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m}")
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p}")
         if self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
@@ -188,8 +193,8 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
     failure to bracket below the cap indicates an evaluation bug, as does
     any non-finite equation value.
     """
-    if not tol >= _MIN_TOL:
-        raise ValueError(f"tol must be at least {_MIN_TOL:g}, got {tol}")
+    if not _MIN_TOL <= tol <= _MAX_TOL:
+        raise ValueError(f"tol must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
     eq = problem.equation
     evaluations = 0
 

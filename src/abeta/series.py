@@ -92,9 +92,17 @@ def caratheodory_to_member(
     """
     if c[0] != 1:
         raise ValueError(f"Caratheodory series must have c_0 = 1, got {c[0]}")
+    return transport_rows(c.coeffs, beta)
+
+
+def transport_rows(c: np.ndarray, beta: "float | object") -> np.ndarray:
+    """:func:`caratheodory_to_member` along the last axis of c_0..c_N rows.
+
+    c_0 = 1 is taken as given; index k of each returned row holds a_{k+1}.
+    """
     b = beta_value(beta)
-    n = np.arange(2, c.order + 2, dtype=float)
-    a = np.empty(c.order + 1, dtype=complex)
-    a[0] = 1.0
-    a[1:] = c.coeffs[1:] / ((1.0 - b) * n + b)
+    n = np.arange(2, c.shape[-1] + 1, dtype=float)
+    a = np.empty(c.shape, dtype=complex)
+    a[..., 0] = 1.0
+    a[..., 1:] = c[..., 1:] / ((1.0 - b) * n + b)
     return a

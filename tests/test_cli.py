@@ -43,6 +43,23 @@ class TestGridSyntax:
         assert parse_grid("0.1,0.2", "--x") == [0.1, 0.2]
         assert parse_grid("0.4", "--x") == [0.4]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("fs-bound", "--beta", "0", "--mu", "nan"), "--mu"),
+            (("fs-bound", "--beta", "0", "--mu=-1,inf"), "--mu"),
+            (("verify", "--beta-grid", "0,nan", "--samples", "1"), "--beta-grid"),
+            (("sweep", "--beta-grid", "0.1", "--p", "inf"), "--p"),
+            (("sweep", "--beta-grid", "0.1", "--m", "nan"), "--m"),
+            (("sweep", "--beta-grid", "0.1", "--N", "1,-inf"), "--N"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag}: ") and "finite" in err
+        assert err.count("\n") == 1
+
     def test_malformed(self):
         with pytest.raises(CliError, match="--beta-grid"):
             parse_grid("0:1", "--beta-grid")
@@ -94,6 +111,8 @@ class TestRadiusCommand:
         [
             ("--p", "1e-9"),  # no sign change: the solver raises BracketError
             ("--tol", "1e-17"),  # finer than doubles near the root resolve
+            ("--tol", "inf"),  # wider than any bracket: its midpoint is no root
+            ("--p", "inf"),  # would print "p": Infinity, which is not JSON
         ],
     )
     def test_unsolvable_input_is_one_error_line(self, flags):
@@ -151,6 +170,12 @@ class TestVerifyCommand:
         doc = json.loads(out1)
         assert doc["all_pass"] is True
 
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-1e-9"])
+    def test_rejects_non_finite_or_negative_slack(self, capsys, slack):
+        code, out, err = run(capsys, "verify", "--beta", "0", "--samples", "1", f"--slack={slack}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --slack: ") and err.count("\n") == 1
+
     def test_verify_rejects_beta_one(self, capsys):
         code, _, err = run(capsys, "verify", "--beta", "1", "--samples", "5")
         assert code == 1
@@ -172,6 +197,11 @@ class TestSweepCommand:
         code, out, err = run(capsys, "sweep", "--beta-grid", "0.1", flag, grid)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {flag}:")
+
+    def test_rejects_tol_wider_than_max(self, capsys):
+        code, out, err = run(capsys, "sweep", "--beta-grid", "0.1", "--tol", "inf")
+        assert code == 1 and out == ""
+        assert err.startswith("error: tol must lie in") and err.count("\n") == 1
 
     def test_grid_must_exclude_beta_one(self, capsys):
         code, _, err = run(capsys, "sweep", "--beta-grid", "0.5,1.0")

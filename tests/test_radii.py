@@ -199,9 +199,17 @@ class TestSolveRadius:
         with pytest.raises(ValueError):
             problem(p=0.0)
         with pytest.raises(ValueError):
+            problem(p=math.inf)  # the CLI would print "p": Infinity, not JSON
+        with pytest.raises(ValueError):
             problem(Variant.BOHR_ROGOSINSKI, N=0)
         with pytest.raises(ValueError):
             solve_radius(problem(), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 2e-3])
+    def test_rejects_tol_above_max(self, tol):
+        # A tol as wide as the first bracket would return its midpoint.
+        with pytest.raises(ValueError, match="tol must lie in"):
+            solve_radius(problem(), tol=tol)
 
     def test_general_monotone_functional(self):
         # Any caller-supplied monotone map with F(0) = 0 is accepted.

@@ -1,13 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abeta.extremal import BetaParam, extremal_at_minus_one, extremal_coeff
+from abeta.bounds import (
+    fekete_szego_bound,
+    inverse_log_coeffs,
+    inverse_log_diff_bounds,
+    log_coeffs,
+    log_diff_bounds,
+)
+from abeta.extremal import BetaParam, eval_extremal, extremal_at_minus_one, extremal_coeff
 from abeta.radii import AreaPolynomial, RadiusProblem, Variant, solve_radius
 from abeta.verify import (
+    _BLOCK,
     BoundReport,
     ClassMember,
     HerglotzMeasure,
@@ -239,3 +248,148 @@ class TestLowerBoundExtremal:
             z = 0.99 * np.exp(1j * theta)
             val = (1 - z * z) / (1 - q * z + z * z)
             assert val.real > -1e-12
+
+
+def _oracle_sweep(beta_grid, config):
+    """Scalar reference for falsification_sweep: one member at a time, in
+    Python complex arithmetic, merged as the sweep documents (first sample
+    attaining each maximum)."""
+    worst = {}
+
+    def merge(check_id, lhs, rhs, witness):
+        violation = lhs - rhs
+        prev = worst.get(check_id)
+        if prev is None or violation > prev[0]:
+            count = prev[2] if prev else 0
+            worst[check_id] = [violation, witness, count + 1]
+        else:
+            prev[2] += 1
+
+    order = config.order
+    for gi, beta in enumerate(beta_grid):
+        bp = BetaParam(beta)
+        radius_checks = []
+        for variant, tag, N in (
+            (Variant.BOHR_SCHWARZ, "bohr", 1),
+            (Variant.BOHR_ROGOSINSKI, "rogosinski", config.rogosinski_N),
+        ):
+            at = solve_radius(RadiusProblem(variant, bp, m=1, p=1.0, N=N)).root
+            at -= config.radius_offset
+            if at > 0:
+                check_id = f"{tag}[beta={beta:g},m=1,p=1,N={N}]"
+                radius_checks.append((check_id, tag, N, at))
+        for si in range(config.samples):
+            seed = config.seed * 1_000_003 + gi * 100_003 + si
+            member = ClassMember.from_measure(sample_measure(config.atoms, seed), bp, order)
+            a = [complex(x) for x in member.a]
+            witness = f"beta={beta:g}, seed={seed}"
+            for n in range(2, config.n_max + 1):
+                merge(f"coeff[n={n}]", abs(a[n - 1]), extremal_coeff(n, bp), witness)
+            a2, a3 = a[1], a[2]
+            for mu in config.mu_grid:
+                merge(
+                    f"fekete_szego[mu={mu:g}]",
+                    abs(a3 - mu * a2 * a2),
+                    fekete_szego_bound(mu, bp),
+                    witness,
+                )
+            gamma = log_coeffs(a2, a3).moduli_difference
+            inv = inverse_log_coeffs(a2, a3).moduli_difference
+            lo, hi = log_diff_bounds(bp)
+            lo_i, hi_i = inverse_log_diff_bounds(bp)
+            merge("log_diff_upper", gamma, hi, witness)
+            merge("log_diff_lower", lo, gamma, witness)
+            merge("inverse_log_diff_upper", inv, hi_i, witness)
+            merge("inverse_log_diff_lower", lo_i, inv, witness)
+            for check_id, tag, N, at in radius_checks:
+                start, lead = (2, at) if tag == "bohr" else (N, eval_extremal(at, bp))
+                body = sum(abs(a[n - 1]) * at**n for n in range(start, order + 2))
+                tail = extremal_coeff(order + 2, bp) * at ** (order + 2) / (1.0 - at)
+                merge(
+                    check_id,
+                    lead + body + tail,
+                    -extremal_at_minus_one(bp),
+                    f"r={at!r}, mode=monomial, seed={seed}",
+                )
+    return [(check_id, v, w, n) for check_id, (v, w, n) in worst.items()]
+
+
+def _assert_matches_oracle(beta_grid, config):
+    summary = falsification_sweep(beta_grid, config)
+    expected = _oracle_sweep(beta_grid, config)
+    got = [(r.inequality_id, r.max_violation, r.witness, r.checks) for r in summary.records]
+    assert [g[0] for g in got] == [e[0] for e in expected]
+    assert [g[3] for g in got] == [e[3] for e in expected]
+    assert [g[2] for g in got] == [e[2] for e in expected]
+    for g, e in zip(got, expected):
+        assert abs(g[1] - e[1]) <= 1e-15, g[0]
+    return summary
+
+
+class TestSweepMatchesScalarOracle:
+    @pytest.mark.parametrize("atoms", [4, 8])
+    def test_betas_and_atoms(self, atoms):
+        config = VerifyConfig(samples=200, atoms=atoms, seed=314)
+        _assert_matches_oracle([0.0, 0.5, 0.9], config)
+
+    def test_crosses_a_block_boundary(self):
+        config = VerifyConfig(samples=_BLOCK + 1, atoms=4, seed=5)
+        summary = _assert_matches_oracle([0.5], config)
+        assert {rec.checks for rec in summary.records} == {_BLOCK + 1}
+
+    def test_low_order_includes_the_coefficient_tail(self):
+        # At order 20 the certified tail (~1e-13 at the beta = 0 Bohr
+        # radius) is far above the 1e-15 agreement asked of the sweep.
+        config = VerifyConfig(samples=30, atoms=4, seed=9, order=20)
+        _assert_matches_oracle([0.0], config)
+
+
+class TestWitnesses:
+    def test_format_names_beta_once(self):
+        summary = falsification_sweep([0.5], VerifyConfig(samples=20, seed=3))
+        for rec in summary.records:
+            if rec.inequality_id.startswith(("bohr[", "rogosinski[")):
+                assert re.fullmatch(r"r=0\.\d+, mode=monomial, seed=\d+", rec.witness)
+            else:
+                assert re.fullmatch(r"beta=0\.5, seed=\d+", rec.witness)
+
+    def test_seed_rebuilds_the_witness_member(self):
+        config = VerifyConfig(samples=40, atoms=6, seed=21)
+        summary = falsification_sweep([0.25], config)
+        for rec in summary.records:
+            seed = int(rec.witness.rsplit("seed=", 1)[1])
+            member = ClassMember.from_measure(sample_measure(config.atoms, seed), 0.25)
+            reports = check_coefficient_bounds(member, config.n_max)
+            reports += check_fs_and_log_bounds(member, config.mu_grid)
+            by_id = {r.inequality_id: r for r in reports}
+            if rec.inequality_id in by_id:
+                assert -by_id[rec.inequality_id].margin == rec.max_violation
+
+
+class TestCertifiedTail:
+    # The beta = 0 extremal member has a_n = 2/n, so its untruncated
+    # coefficient majorant at r is sum_{n>=2} 2 r^n / n = 2 (-log(1-r) - r).
+    r = 0.1
+
+    def _series_rest(self):
+        return 2.0 * (-math.log1p(-self.r) - self.r)
+
+    def test_bohr_sum_is_not_below_the_untruncated_majorant(self):
+        member = ClassMember.extremal(0.0, order=8)
+        exact = self.r + self._series_rest()
+        assert exact <= bohr_sum(member, self.r) <= exact + 1e-11
+
+    def test_rogosinski_sum_is_not_below_the_untruncated_majorant(self):
+        member = ClassMember.extremal(0.0, order=8)
+        exact = (self.r + self._series_rest()) + self._series_rest()
+        assert exact <= rogosinski_sum(member, self.r, N=2) <= exact + 1e-11
+
+
+class TestVerifyConfig:
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, -1e-9])
+    def test_rejects_non_finite_or_negative_slack(self, slack):
+        with pytest.raises(ValueError, match="^slack: "):
+            VerifyConfig(slack=slack)
+
+    def test_zero_slack_is_allowed(self):
+        assert VerifyConfig(slack=0.0).slack == 0.0
