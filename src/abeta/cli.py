@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bounds import fekete_szego_bound, inverse_log_diff_bounds, log_diff_bounds
 from .extremal import BetaDomainError, BetaParam, ConvergenceError
@@ -37,6 +37,8 @@ from .radii import (
 from .verify import VerifyConfig, falsification_sweep
 
 SWEEP_HEADER = ["beta", "m", "p", "N", "variant", "root", "residual", "iterations"]
+
+_MAX_GRID_VALUES = 10**6
 
 
 class CliError(Exception):
@@ -63,8 +65,8 @@ def _finite(values: Iterable[float]) -> list[float]:
 
 def parse_grid(spec: str, flag: str) -> list[float]:
     """Parse `start:stop:step` (start inclusive, stop exclusive beyond
-    floating tolerance), a comma list, or a single number; every value
-    must be finite."""
+    floating tolerance, at most 10**6 values), a comma list, or a single
+    number; every value must be finite."""
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -73,6 +75,9 @@ def parse_grid(spec: str, flag: str) -> list[float]:
             start, stop, step = _finite(float(p) for p in parts)
             if step <= 0:
                 raise ValueError("step must be positive")
+            # The loop below runs once per value: bound it before it starts.
+            if (stop - start) / step > _MAX_GRID_VALUES:
+                raise ValueError(f"more than {_MAX_GRID_VALUES} values")
             values = []
             k = 0
             while True:
@@ -386,10 +391,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+# (builder, parser) of the first main call.  Reusing the parser is safe:
+# parse_args makes a fresh Namespace on every call and _Parser.error raises
+# instead of exiting.  A replaced build_parser (a wrapper or a test double)
+# takes effect on the next call.
+_parser: tuple[Callable[[], _Parser], _Parser] | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; the parser is built on the first call only."""
+    global _parser
+    if _parser is None or _parser[0] is not build_parser:
+        _parser = (build_parser, build_parser())
     try:
-        args = parser.parse_args(argv)
+        args = _parser[1].parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, BracketError, ConvergenceError) as exc:
         # BetaDomainError is a ValueError; solver errors carry the reason.

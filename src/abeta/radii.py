@@ -10,6 +10,7 @@ beyond bisection) and reports the final bracket and residual.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -123,6 +124,11 @@ class RadiusProblem:
         if self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
+    @functools.cached_property
+    def _f_minus_one(self) -> float:
+        """f(-1) of the extremal function, the same at every r."""
+        return extremal_at_minus_one(self.beta, self.config)
+
     def equation(self, r: float) -> float:
         if self.variant is Variant.BOHR_SCHWARZ:
             return equation_bohr(self, r)
@@ -152,9 +158,22 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
     if N == 1:
         return 0.0
     total = r
-    for n in range(2, N):
-        total += extremal_coeff(n, beta) * r ** n
+    for n, c in enumerate(_hat_coefficients(N, beta), start=2):
+        total += c * r ** n
     return total
+
+
+@functools.lru_cache(maxsize=64)
+def _hat_coefficients(N: int, beta: "BetaParam | float") -> tuple[float, ...]:
+    """Extremal coefficients a_2..a_{N-1}, computed once per (N, beta)."""
+    return tuple(extremal_coeff(n, beta) for n in range(2, N))
+
+
+def _area_term(problem: RadiusProblem, r: float) -> float:
+    """F(area bound at r); 0.0 for the zero polynomial, whose F is 0 anyway."""
+    if getattr(problem.F, "is_zero", False):
+        return 0.0
+    return problem.F(area_majorant(r, problem.beta, problem.config))
 
 
 def equation_bohr(problem: RadiusProblem, r: float) -> float:
@@ -166,8 +185,8 @@ def equation_bohr(problem: RadiusProblem, r: float) -> float:
         r ** (problem.p * problem.m)
         + eval_extremal(r, beta, cfg)
         - r
-        + problem.F(area_majorant(r, beta, cfg))
-        + extremal_at_minus_one(beta, cfg)
+        + _area_term(problem, r)
+        + problem._f_minus_one
     )
 
 
@@ -180,8 +199,8 @@ def equation_rogosinski(problem: RadiusProblem, r: float) -> float:
         eval_extremal(r ** problem.m, beta, cfg) ** problem.p
         + eval_extremal(r, beta, cfg)
         - hat_f(problem.N, beta, r)
-        + problem.F(area_majorant(r, beta, cfg))
-        + extremal_at_minus_one(beta, cfg)
+        + _area_term(problem, r)
+        + problem._f_minus_one
     )
 
 

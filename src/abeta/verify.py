@@ -85,7 +85,12 @@ def sample_measure(num_atoms: int, seed: int) -> HerglotzMeasure:
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(num_atoms))
     angles = rng.uniform(0.0, TWO_PI, size=num_atoms)
-    return HerglotzMeasure(weights, angles)
+    # Valid by construction (weights on the simplex, angles in [0, 2pi), on
+    # which % 2pi is the identity), so __post_init__ is not run again.
+    mu = object.__new__(HerglotzMeasure)
+    object.__setattr__(mu, "weights", weights)
+    object.__setattr__(mu, "angles", angles)
+    return mu
 
 
 def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -507,9 +512,10 @@ def falsification_sweep(
             RadiusProblem(Variant.BOHR_SCHWARZ, bp, m=1, p=1.0),
             RadiusProblem(Variant.BOHR_ROGOSINSKI, bp, m=1, p=1.0, N=config.rogosinski_N),
         ):
-            at = solve_radius(problem).root - config.radius_offset
-            if at > 0:
-                radius_checks.append(_radius_check(problem, bp, config.order, at, "monomial"))
+            # Just inside the root; half of it for roots below twice the offset.
+            root = solve_radius(problem).root
+            at = root - min(config.radius_offset, 0.5 * root)
+            radius_checks.append(_radius_check(problem, bp, config.order, at, "monomial"))
         first_seed = config.seed * 1_000_003 + gi * 100_003
         for start in range(0, config.samples, _BLOCK):
             seeds = range(first_seed + start, first_seed + min(start + _BLOCK, config.samples))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abeta
+from abeta import cli
 from abeta.cli import CliError, main, parse_grid
 
 FS_B0_ROOT = 0.28519408762  # independent bisection value, beta=0, m=1
@@ -59,6 +64,25 @@ class TestGridSyntax:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {flag}: ") and "finite" in err
         assert err.count("\n") == 1
+
+    def test_range_holds_at_most_a_million_values(self):
+        assert len(parse_grid("0:1e6:1", "--x")) == 10**6
+        with pytest.raises(CliError, match="more than 1000000 values"):
+            parse_grid("0:1000001:1", "--x")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("fs-bound", "--beta", "0", "--mu=0:1:1e-12"), "--mu"),
+            (("sweep", "--beta-grid", "0:0.9:1e-300"), "--beta-grid"),
+            (("sweep", "--beta-grid", "0.1", "--p=-1e308:1e308:1"), "--p"),
+        ],
+    )
+    def test_huge_range_is_one_error_line(self, argv, flag):
+        # These grids used to be built one value at a time, without end.
+        proc = run_process(*argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {flag}: ") and proc.stderr.count("\n") == 1
 
     def test_malformed(self):
         with pytest.raises(CliError, match="--beta-grid"):
@@ -217,3 +241,126 @@ class TestSweepCommand:
         assert out == ""
         content = target.read_text()
         assert content.startswith("beta,m,p,N,variant,root,residual,iterations")
+
+
+def run_quiet(argv):
+    """main(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+FAILING = [
+    ["radius", "--beta", "2"],
+    ["radius", "--beta", "0.3", "--bogus", "1"],
+    ["rogosinski", "--beta"],
+    ["verify"],
+    ["verify", "--beta", "0", "--beta-grid", "0.5"],
+    ["nope"],
+    [],
+    ["fs-bound", "--beta", "0", "--mu", "x"],
+    ["sweep", "--beta-grid", "0.1", "--variant", "all"],
+    ["radius", "--beta", "0", "--p", "1e-9"],
+]
+
+VALID = [
+    ["rogosinski", "--beta", "0.3", "--m", "2", "--N", "3", "--poly", "0.1"],
+    ["fs-bound", "--beta", "0.5", "--mu=-1,0,1", "--out-format", "json"],
+    ["verify", "--beta-grid", "0,0.5", "--samples", "3", "--out-format", "csv"],
+    ["sweep", "--beta-grid", "0.1,0.2", "--m", "1,2", "--variant", "both"],
+]
+
+
+class TestParserReuse:
+    def test_built_once_over_twenty_calls(self, monkeypatch):
+        build = cli.build_parser
+        built = []
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        commands = (FAILING + VALID) * 2
+        assert len(commands) >= 20
+        for argv in commands:
+            run_quiet(argv)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("valid", VALID)
+    def test_failed_commands_leave_no_state(self, monkeypatch, valid):
+        monkeypatch.setattr(cli, "_parser", None)
+        alone = run_quiet(valid)  # the first call: a parser of its own
+        assert alone[0] == 0
+        parser = cli._parser
+        for argv in FAILING:
+            code, out, err = run_quiet(argv)
+            assert code == 1 and out == "" and err.startswith("error: ")
+        assert run_quiet(valid) == alone
+        assert cli._parser is parser
+
+
+# Values each flag may take in the fuzz test: (valid, malformed).
+FUZZ_VALUES = {
+    "--beta": (["0", "0.5", "0.9", "0.999"], ["1", "1.5", "-0.1", "nan", "x"]),
+    "--m": (["1", "3"], ["0", "1.5", "1,2", "x"]),
+    "--p": (["0.5", "1", "2"], ["0", "-1", "inf", "1e-9", "x"]),
+    "--N": (["1", "3", "50"], ["0", "1,2", "x"]),
+    "--poly": (["0.1", "0.2,0.05", ""], ["-1", "nan", "a,b"]),
+    "--tol": (["1e-10", "1e-6"], ["1e-17", "1", "x"]),
+    "--mu": (["0", "-1,0,1", "0:1:0.25"], ["0:1:1e-12", "1:0:0.5", "0:1", "nan", "x"]),
+    "--beta-grid": (["0.5", "0,0.9", "0:0.3:0.1"], ["0.5,1", "0:1:1e-12", "nan", "x"]),
+    "--samples": (["1", "3", "0"], ["-1", "x"]),
+    "--atoms": (["1", "4"], ["0", "x"]),
+    "--seed": (["0", "7"], ["-3", "x"]),
+    "--slack": (["1e-9", "0"], ["-1", "nan", "x"]),
+    "--variant": (["bohr", "rogosinski", "both"], ["all"]),
+    "--out-format": (["csv", "json"], ["xml"]),
+}
+
+RADIUS_FLAGS = ["--beta", "--m", "--p", "--poly", "--tol", "--out-format"]
+# Each subcommand's required flags first, then its optional ones.
+FUZZ_FLAGS = {
+    "radius": (["--beta"], RADIUS_FLAGS),
+    "rogosinski": (["--beta"], [*RADIUS_FLAGS, "--N"]),
+    "fs-bound": (["--beta", "--mu"], ["--out-format"]),
+    "log-bounds": (["--beta"], ["--out-format"]),
+    "verify": (["--beta", "--samples"], ["--beta-grid", "--atoms", "--seed", "--slack", "--out-format"]),
+    "sweep": (["--beta-grid"], ["--m", "--p", "--N", "--variant", "--tol", "--out-format"]),
+    "nope": ([], ["--beta"]),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command line, malformed in about half of the draws: a subcommand
+    (rarely missing), its required flags (each rarely missing) and up to
+    three more, with values from FUZZ_VALUES (one in ten malformed),
+    sometimes an unknown flag or a trailing flag without a value.  verify's --samples is kept
+    small so that examples stay cheap."""
+    rarely = st.integers(0, 9).map(lambda k: k == 0)
+    command = draw(st.sampled_from(list(FUZZ_FLAGS)))
+    required, optional = FUZZ_FLAGS[command]
+    argv = [] if draw(rarely) else [command]
+    flags = [f for f in required if not draw(rarely)]
+    flags += draw(st.lists(st.sampled_from(optional), max_size=3))
+    for flag in flags:
+        valid, malformed = FUZZ_VALUES[flag]
+        argv += [flag, draw(st.sampled_from(malformed if draw(rarely) else valid))]
+    if draw(rarely):
+        argv += ["--bogus", "1"]
+    if draw(rarely):
+        argv.append(draw(st.sampled_from(optional)))
+    return argv
+
+
+@given(st.lists(fuzz_argv(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_exit_code_contract_over_one_process(commands):
+    for argv in commands:
+        code, _, err = run_quiet(argv)  # an escaping exception fails the test
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

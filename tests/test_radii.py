@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from abeta.extremal import BetaDomainError, BetaParam
+import abeta.radii
+from abeta.extremal import (
+    BetaDomainError,
+    BetaParam,
+    area_majorant,
+    eval_extremal,
+    extremal_at_minus_one,
+    extremal_coeff,
+)
 from abeta.radii import (
     AreaPolynomial,
     BracketError,
@@ -130,6 +138,91 @@ class TestEquations:
             lhs = equation_rogosinski(prob, r)
             rhs = eval_extremal(r, 0.4) ** 1 + (equation_bohr(base, r) - r ** 1)
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def oracle_equation(prob, r):
+    """The radius equation with every term recomputed on each call: f(-1),
+    the hat_f terms from extremal_coeff and F of the area majorant."""
+    beta, cfg = prob.beta, prob.config
+    area = prob.F(area_majorant(r, beta, cfg))
+    f_minus_one = extremal_at_minus_one(beta, cfg)
+    if prob.variant is Variant.BOHR_SCHWARZ:
+        return r ** (prob.p * prob.m) + eval_extremal(r, beta, cfg) - r + area + f_minus_one
+    hat = 0.0
+    if prob.N > 1:
+        hat = r
+        for n in range(2, prob.N):
+            hat += extremal_coeff(n, beta) * r**n
+    return (
+        eval_extremal(r ** prob.m, beta, cfg) ** prob.p
+        + eval_extremal(r, beta, cfg)
+        - hat
+        + area
+        + f_minus_one
+    )
+
+
+AREA_FUNCTIONALS = [
+    ZERO_POLYNOMIAL,
+    AreaPolynomial((0.0, 0.0)),
+    AreaPolynomial((0.2, 0.05)),
+    lambda w: 0.1 * w * w,
+]
+
+
+class TestEquationConstants:
+    """Per-problem constants are computed once; the values stay bit for bit."""
+
+    RADII = np.linspace(0.01, 0.95, 20).tolist()
+
+    @pytest.mark.parametrize("F", AREA_FUNCTIONALS)
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    def test_equation_equals_scalar_oracle(self, beta, F):
+        probs = [
+            problem(variant, beta=beta, m=m, p=p, N=N, F=F)
+            for m, p in itertools.product((1, 3), (0.5, 2.0))
+            for variant, N in [
+                (Variant.BOHR_SCHWARZ, 1),
+                *((Variant.BOHR_ROGOSINSKI, N) for N in (1, 2, 3, 50)),
+            ]
+        ]
+        for prob in probs:
+            for r in self.RADII:
+                assert prob.equation(r) == oracle_equation(prob, r), (prob, r)
+
+    def test_hat_f_equals_its_sum(self):
+        for beta, N in itertools.product((0.0, BetaParam(0.5), 0.9), (3, 7, 50)):
+            for r in self.RADII:
+                total = r
+                for n in range(2, N):
+                    total += extremal_coeff(n, beta) * r**n
+                assert hat_f(N, beta, r) == total
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_f_minus_one_once_per_problem(self, monkeypatch, variant):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return extremal_at_minus_one(*args)
+
+        monkeypatch.setattr(abeta.radii, "extremal_at_minus_one", counted)
+        prob = problem(variant, beta=0.4, m=2, N=3, F=AreaPolynomial((0.1,)))
+        res = solve_radius(prob)
+        assert res.iterations > 1 and len(calls) == 1
+
+    @pytest.mark.parametrize("F", AREA_FUNCTIONALS)
+    def test_area_majorant_only_for_a_nonzero_area_term(self, monkeypatch, F):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return area_majorant(*args)
+
+        monkeypatch.setattr(abeta.radii, "area_majorant", counted)
+        for variant in Variant:
+            problem(variant, beta=0.4, F=F).equation(0.3)
+        assert len(calls) == (0 if getattr(F, "is_zero", False) else 2)
 
 
 class TestSolveRadius:

@@ -54,6 +54,17 @@ class TestHerglotzMeasure:
         with pytest.raises(ValueError):
             sample_measure(0, seed=1)
 
+    @pytest.mark.parametrize("atoms", [1, 4, 8])
+    def test_sampled_measures_need_no_revalidation(self, atoms):
+        # sample_measure skips __post_init__; validating its draws must
+        # neither fail nor change a bit.
+        for seed in range(200):
+            mu = sample_measure(atoms, seed)
+            checked = HerglotzMeasure(mu.weights, mu.angles)
+            assert np.array_equal(checked.weights, mu.weights)
+            assert np.array_equal(checked.angles, mu.angles)
+            assert mu.weights.dtype == mu.angles.dtype == np.float64
+
     @given(
         atoms=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=10_000),
@@ -221,6 +232,22 @@ class TestSweep:
         assert summary.records == ()
         assert summary.all_pass
 
+    def test_radius_checks_kept_when_the_root_is_below_the_offset(self):
+        # At beta = 0.999 the Bohr radius (5.0e-4) is below the 1e-3 offset:
+        # the checks move to half the root instead of being dropped.
+        config = VerifyConfig(samples=5, seed=1)
+        summary = falsification_sweep([0.999], config)
+        records = {rec.inequality_id: rec for rec in summary.records}
+        for tag, N in (("bohr", 1), ("rogosinski", config.rogosinski_N)):
+            rec = records[f"{tag}[beta=0.999,m=1,p=1,N={N}]"]
+            assert rec.checks == config.samples
+            root = solve_radius(
+                RadiusProblem(Variant(tag), BetaParam(0.999), N=N)
+            ).root
+            assert root < config.radius_offset
+            assert rec.witness.startswith(f"r={0.5 * root!r}, ")
+        assert summary.all_pass
+
 
 class TestLowerBoundExtremal:
     @pytest.mark.parametrize("beta", [0.0, 0.5])
@@ -273,11 +300,10 @@ def _oracle_sweep(beta_grid, config):
             (Variant.BOHR_SCHWARZ, "bohr", 1),
             (Variant.BOHR_ROGOSINSKI, "rogosinski", config.rogosinski_N),
         ):
-            at = solve_radius(RadiusProblem(variant, bp, m=1, p=1.0, N=N)).root
-            at -= config.radius_offset
-            if at > 0:
-                check_id = f"{tag}[beta={beta:g},m=1,p=1,N={N}]"
-                radius_checks.append((check_id, tag, N, at))
+            root = solve_radius(RadiusProblem(variant, bp, m=1, p=1.0, N=N)).root
+            at = root - min(config.radius_offset, 0.5 * root)
+            check_id = f"{tag}[beta={beta:g},m=1,p=1,N={N}]"
+            radius_checks.append((check_id, tag, N, at))
         for si in range(config.samples):
             seed = config.seed * 1_000_003 + gi * 100_003 + si
             member = ClassMember.from_measure(sample_measure(config.atoms, seed), bp, order)
