@@ -321,7 +321,8 @@ FUZZ_VALUES = {
 }
 
 RADIUS_FLAGS = ["--beta", "--m", "--p", "--poly", "--tol", "--out-format"]
-# Each subcommand's required flags first, then its optional ones.
+# Per subcommand: the flags it needs (verify's --samples keeps examples
+# cheap), then the optional ones.
 FUZZ_FLAGS = {
     "radius": (["--beta"], RADIUS_FLAGS),
     "rogosinski": (["--beta"], [*RADIUS_FLAGS, "--N"]),
@@ -336,10 +337,9 @@ FUZZ_FLAGS = {
 @st.composite
 def fuzz_argv(draw):
     """A command line, malformed in about half of the draws: a subcommand
-    (rarely missing), its required flags (each rarely missing) and up to
-    three more, with values from FUZZ_VALUES (one in ten malformed),
-    sometimes an unknown flag or a trailing flag without a value.  verify's --samples is kept
-    small so that examples stay cheap."""
+    (rarely missing), the flags it needs (each rarely missing) and up to
+    three more, with values from FUZZ_VALUES (one in ten malformed), and
+    sometimes an unknown flag or a trailing flag without a value."""
     rarely = st.integers(0, 9).map(lambda k: k == 0)
     command = draw(st.sampled_from(list(FUZZ_FLAGS)))
     required, optional = FUZZ_FLAGS[command]

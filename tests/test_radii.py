@@ -190,14 +190,6 @@ class TestEquationConstants:
             for r in self.RADII:
                 assert prob.equation(r) == oracle_equation(prob, r), (prob, r)
 
-    def test_hat_f_equals_its_sum(self):
-        for beta, N in itertools.product((0.0, BetaParam(0.5), 0.9), (3, 7, 50)):
-            for r in self.RADII:
-                total = r
-                for n in range(2, N):
-                    total += extremal_coeff(n, beta) * r**n
-                assert hat_f(N, beta, r) == total
-
     @pytest.mark.parametrize("variant", list(Variant))
     def test_f_minus_one_once_per_problem(self, monkeypatch, variant):
         calls = []
