@@ -2,22 +2,15 @@
 semigroup generators on the unit disk, with Monte-Carlo verification."""
 
 from .bounds import (
-    LogCoeffPair,
-    PsiInputs,
     fekete_szego_bound,
-    inverse_log_coeffs,
     inverse_log_diff_bounds,
     log_coeffs,
     log_diff_bounds,
-    ma_minda_bound,
-    psi_minus_bound,
-    psi_plus_bound,
 )
 from .extremal import (
     BetaDomainError,
     BetaParam,
     ConvergenceError,
-    ExtremalEvalConfig,
     area_majorant,
     eval_extremal,
     extremal_at_minus_one,
@@ -27,30 +20,11 @@ from .extremal import (
 from .radii import (
     AreaPolynomial,
     RadiusProblem,
-    RootResult,
     Variant,
     baseline_bohr_radius,
-    equation_bohr,
-    equation_rogosinski,
-    hat_f,
     solve_radius,
 )
-from .series import TruncatedSeries, caratheodory_to_member, series_div, series_mul
-from .verify import (
-    BoundReport,
-    ClassMember,
-    HerglotzMeasure,
-    SweepSummary,
-    VerifyConfig,
-    bohr_sum,
-    check_bohr,
-    check_coefficient_bounds,
-    check_fs_and_log_bounds,
-    falsification_sweep,
-    measure_to_caratheodory,
-    rogosinski_sum,
-    sample_measure,
-)
+from .verify import VerifyConfig, falsification_sweep
 
 __version__ = "0.1.0"
 
@@ -58,46 +32,20 @@ __all__ = [
     "AreaPolynomial",
     "BetaDomainError",
     "BetaParam",
-    "BoundReport",
-    "ClassMember",
     "ConvergenceError",
-    "ExtremalEvalConfig",
-    "HerglotzMeasure",
-    "LogCoeffPair",
-    "PsiInputs",
     "RadiusProblem",
-    "RootResult",
-    "SweepSummary",
-    "TruncatedSeries",
     "Variant",
     "VerifyConfig",
     "area_majorant",
     "baseline_bohr_radius",
-    "bohr_sum",
-    "caratheodory_to_member",
-    "check_bohr",
-    "check_coefficient_bounds",
-    "check_fs_and_log_bounds",
-    "equation_bohr",
-    "equation_rogosinski",
     "eval_extremal",
     "extremal_at_minus_one",
     "extremal_coeff",
     "falsification_sweep",
     "fekete_szego_bound",
     "growth_envelope",
-    "hat_f",
-    "inverse_log_coeffs",
     "inverse_log_diff_bounds",
     "log_coeffs",
     "log_diff_bounds",
-    "ma_minda_bound",
-    "measure_to_caratheodory",
-    "psi_minus_bound",
-    "psi_plus_bound",
-    "rogosinski_sum",
-    "sample_measure",
-    "series_div",
-    "series_mul",
     "solve_radius",
 ]

@@ -103,11 +103,15 @@ def _int_grid(spec: str, flag: str) -> list[int]:
     return [int(v) for v in values]
 
 
-def _beta(value: float, flag: str = "--beta") -> BetaParam:
+def _beta(value: float, flag: str = "--beta", strict: bool = False) -> BetaParam:
+    """The flag's beta; strict rejects beta = 1, as the radius equations do."""
     try:
-        return BetaParam(value)
+        beta = BetaParam(value)
+        if strict:
+            beta.require_strict()
     except BetaDomainError as exc:
         raise CliError(f"{flag}: {exc}") from exc
+    return beta
 
 
 def _poly(spec: str | None) -> AreaPolynomial:
@@ -155,23 +159,24 @@ def _root_document(problem: RadiusProblem, result: RootResult) -> dict:
     }
 
 
-def _cmd_radius(args: argparse.Namespace) -> int:
-    beta = _beta(args.beta)
+def _radius_problem(**fields) -> RadiusProblem:
     try:
-        beta.require_strict()
-    except BetaDomainError as exc:
-        raise CliError(f"--beta: {exc}") from exc
-    try:
-        problem = RadiusProblem(
-            variant=args.variant,
-            beta=beta,
-            m=args.m,
-            p=args.p,
-            N=getattr(args, "N", 1),
-            F=_poly(args.poly),
-        )
+        return RadiusProblem(**fields)
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        # RadiusProblem names the offending field first, and the radius
+        # flags carry the field names.
+        raise CliError(f"--{exc}") from exc
+
+
+def _cmd_radius(args: argparse.Namespace) -> int:
+    problem = _radius_problem(
+        variant=args.variant,
+        beta=_beta(args.beta, strict=True),
+        m=args.m,
+        p=args.p,
+        N=getattr(args, "N", 1),
+        F=_poly(args.poly),
+    )
     doc = _root_document(problem, solve_radius(problem, args.tol))
     if args.out_format == "json":
         _emit(_json_text(doc), args.out_path)
@@ -235,11 +240,7 @@ def _cmd_log_bounds(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else [args.beta]
     for b in betas:
-        beta = _beta(b, "--beta-grid" if args.beta_grid else "--beta")
-        try:
-            beta.require_strict()
-        except BetaDomainError as exc:
-            raise CliError(f"--beta: {exc}") from exc
+        _beta(b, "--beta-grid" if args.beta_grid else "--beta", strict=True)
     try:
         config = VerifyConfig(
             samples=args.samples,
@@ -290,9 +291,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _sweep_row(
     beta: float, m: int, p: float, n_rog: int, variant: Variant, tol: float
 ) -> list[str]:
-    problem = RadiusProblem(
-        variant=variant, beta=BetaParam(beta), m=m, p=p, N=n_rog
-    )
+    problem = _radius_problem(variant=variant, beta=BetaParam(beta), m=m, p=p, N=n_rog)
     result = solve_radius(problem, tol)
     return [
         fmt(beta),
@@ -309,11 +308,7 @@ def _sweep_row(
 def _cmd_sweep(args: argparse.Namespace) -> int:
     betas = parse_grid(args.beta_grid, "--beta-grid")
     for b in betas:
-        beta = _beta(b, "--beta-grid")
-        try:
-            beta.require_strict()
-        except BetaDomainError as exc:
-            raise CliError(f"--beta-grid: {exc}") from exc
+        _beta(b, "--beta-grid", strict=True)
     ms = _int_grid(args.m, "--m")
     ps = parse_grid(args.p, "--p")
     ns = _int_grid(args.N, "--N")

@@ -60,26 +60,11 @@ def beta_value(beta: "BetaParam | float", strict: bool = False) -> float:
     return b.require_strict() if strict else b.value
 
 
-@dataclass(frozen=True)
-class ExtremalEvalConfig:
-    """Truncation and quadrature controls for extremal evaluations."""
-
-    tolerance: float = 1e-12       # absolute truncation error target
-    max_terms: int = 4_000_000     # hard cap on series length
-    quadrature_points: int = 64    # Gauss-Laguerre nodes for f(-1)
-
-    def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_terms < 8:
-            raise ValueError(f"max_terms must be >= 8, got {self.max_terms}")
-        if self.quadrature_points < 1:
-            raise ValueError(
-                f"quadrature_points must be positive, got {self.quadrature_points}"
-            )
-
-
-DEFAULT_CONFIG = ExtremalEvalConfig()
+# Absolute truncation error target of every certified series, the hard cap
+# on a series' length, and the Gauss-Laguerre nodes used for f(-1).
+TOLERANCE = 1e-12
+MAX_TERMS = 4_000_000
+QUADRATURE_POINTS = 64
 
 
 def extremal_coeff(n: int, beta: "BetaParam | float") -> float:
@@ -104,7 +89,7 @@ def _coeff_array(n_max: int, b: float) -> np.ndarray:
     return a
 
 
-def _series_length(r_abs: float, b: float, cfg: ExtremalEvalConfig) -> int:
+def _series_length(r_abs: float, b: float) -> int:
     """Smallest doubling length N whose geometric tail bound meets tolerance.
 
     Tail bound: coeff(N+1) * r^{N+1} / (1 - r), valid because the
@@ -115,28 +100,26 @@ def _series_length(r_abs: float, b: float, cfg: ExtremalEvalConfig) -> int:
     n = 16
     while True:
         tail = extremal_coeff(n + 1, b) * r_abs ** (n + 1) / (1.0 - r_abs)
-        if tail <= cfg.tolerance:
+        if tail <= TOLERANCE:
             return n
-        if n >= cfg.max_terms:
+        if n >= MAX_TERMS:
             raise ConvergenceError(
-                f"tail bound {tail:.3e} above tolerance {cfg.tolerance:.3e} "
+                f"tail bound {tail:.3e} above tolerance {TOLERANCE:.3e} "
                 f"after {n} terms (r = {r_abs}, beta = {b})"
             )
-        n = min(2 * n, cfg.max_terms)
+        n = min(2 * n, MAX_TERMS)
 
 
-def eval_extremal(
-    r: float, beta: "BetaParam | float", cfg: ExtremalEvalConfig = DEFAULT_CONFIG
-) -> float:
+def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     """Value of the extremal function at real r, |r| < 1.
 
     The series is truncated where the certified geometric tail bound
-    drops below cfg.tolerance.
+    drops below TOLERANCE.
     """
     if not abs(r) < 1.0:
         raise ValueError(f"|r| must be < 1, got {r}")
     b = beta_value(beta)
-    n_max = _series_length(abs(r), b, cfg)
+    n_max = _series_length(abs(r), b)
     a = _coeff_array(n_max, b)
     n = np.arange(1, n_max + 1, dtype=float)
     # Powers computed in log space to stay stable for very long series.
@@ -150,9 +133,7 @@ def eval_extremal(
     return float(np.dot(a, powers))
 
 
-def extremal_at_minus_one(
-    beta: "BetaParam | float", cfg: ExtremalEvalConfig = DEFAULT_CONFIG
-) -> float:
+def extremal_at_minus_one(beta: "BetaParam | float") -> float:
     """Boundary value f(-1) of the extremal function, for beta < 1.
 
     Computed as the negative of the integral
@@ -165,43 +146,21 @@ def extremal_at_minus_one(
     well over beta in [0, 1).
     """
     b = beta_value(beta, strict=True)
-    y, w = _laggauss(cfg.quadrature_points)
+    y, w = _laguerre_nodes()
     integral = float(np.dot(w, np.tanh(0.5 * (1.0 - b) * y)))
     return -integral
 
 
-@functools.lru_cache(maxsize=8)
-def _laggauss(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(npts)
+@functools.cache
+def _laguerre_nodes() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.laguerre.laggauss(QUADRATURE_POINTS)
 
 
-def boundary_series_euler(beta: "BetaParam | float", terms: int = 64) -> float:
-    """f(-1) via Euler-accelerated summation of the alternating series.
-
-    Independent cross-check for :func:`extremal_at_minus_one`; the raw
-    series converges only like an alternating harmonic series, but the
-    Euler transform of its smooth terms converges geometrically.
-    """
-    b = beta_value(beta, strict=True)
-    d = _coeff_array(terms + 1, b)
-    # f(-1) = -sum_{k>=0} (-1)^k d[k]  (d[k] = a_{k+1});  Euler transform:
-    # sum (-1)^k d_k = sum_k (-1)^k (Delta^k d)_0 / 2^{k+1}.
-    total = 0.0
-    sign = 1.0
-    for k in range(terms):
-        total += sign * d[0] / 2.0 ** (k + 1)
-        d = d[1:] - d[:-1]
-        sign = -sign
-    return -total
-
-
-def area_majorant(
-    r: float, beta: "BetaParam | float", cfg: ExtremalEvalConfig = DEFAULT_CONFIG
-) -> float:
+def area_majorant(r: float, beta: "BetaParam | float") -> float:
     """Sharp upper bound on the normalized image area at radius r.
 
     Returns r^2 + sum_{n>=2} 4n/((1-beta)n + beta)^2 * r^{2n} with
-    certified absolute truncation error <= cfg.tolerance.  Permits
+    certified absolute truncation error <= TOLERANCE.  Permits
     beta = 1 (the terms 4n r^{2n} still converge for r < 1).
     """
     if not 0.0 <= r < 1.0:
@@ -220,25 +179,23 @@ def area_majorant(
         q = x * (n_max + 1) / n_max
         if q < 1.0:
             tail = term(n_max + 1.0) / (1.0 - q)
-            if tail <= cfg.tolerance:
+            if tail <= TOLERANCE:
                 break
-        if n_max >= cfg.max_terms:
+        if n_max >= MAX_TERMS:
             raise ConvergenceError(
                 f"area series tail above tolerance after {n_max} terms (r = {r})"
             )
-        n_max = min(2 * n_max, cfg.max_terms)
+        n_max = min(2 * n_max, MAX_TERMS)
     n = np.arange(2, n_max + 1, dtype=float)
     body = 4.0 * n / ((1.0 - b) * n + b) ** 2
     powers = np.exp(n * math.log(x))
     return float(x + np.dot(body, powers))
 
 
-def growth_envelope(
-    r: float, beta: "BetaParam | float", cfg: ExtremalEvalConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
+def growth_envelope(r: float, beta: "BetaParam | float") -> tuple[float, float]:
     """Sharp modulus bounds (-f(-r), f(r)) for class members on |z| <= r."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    lower = -eval_extremal(-r, beta, cfg)
-    upper = eval_extremal(r, beta, cfg)
+    lower = -eval_extremal(-r, beta)
+    upper = eval_extremal(r, beta)
     return lower, upper

@@ -12,13 +12,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .extremal import (
-    DEFAULT_CONFIG,
     BetaParam,
-    ExtremalEvalConfig,
     area_majorant,
     eval_extremal,
     extremal_at_minus_one,
@@ -83,17 +81,8 @@ ZERO_POLYNOMIAL = AreaPolynomial()
 
 # Any monotone increasing map with F(0) = 0 is accepted in place of an
 # AreaPolynomial; monotonicity of a caller-supplied function is the
-# caller's obligation (spot-checked by monotone_spot_check).
+# caller's obligation.
 AreaFunctional = Callable[[float], float]
-
-
-def monotone_spot_check(F: AreaFunctional, grid_points: int = 32) -> bool:
-    """Cheap sanity check that F(0) = 0 and F is nondecreasing on a grid."""
-    if abs(F(0.0)) > 1e-14:
-        return False
-    ws = [4.0 * k / (grid_points - 1) for k in range(grid_points)]
-    vals = [F(w) for w in ws]
-    return all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
 
 @dataclass(frozen=True)
@@ -102,7 +91,8 @@ class RadiusProblem:
 
     N is only meaningful for the Rogosinski variant (start index of the
     coefficient tail); it is carried but ignored for the plain Bohr
-    equation.
+    equation.  Each validation error starts with the name of the offending
+    field.
     """
 
     variant: Variant
@@ -111,23 +101,22 @@ class RadiusProblem:
     p: float = 1.0
     N: int = 1
     F: AreaFunctional = ZERO_POLYNOMIAL
-    config: ExtremalEvalConfig = field(default=DEFAULT_CONFIG)
 
     def __post_init__(self) -> None:
         beta = self.beta if isinstance(self.beta, BetaParam) else BetaParam(self.beta)
         beta.require_strict()
         object.__setattr__(self, "beta", beta)
         if self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m}")
+            raise ValueError(f"m: must be a positive integer, got {self.m}")
         if not 0 < self.p < math.inf:
-            raise ValueError(f"p must be positive and finite, got {self.p}")
+            raise ValueError(f"p: must be positive and finite, got {self.p}")
         if self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
+            raise ValueError(f"N: must be a positive integer, got {self.N}")
 
     @functools.cached_property
     def _f_minus_one(self) -> float:
         """f(-1) of the extremal function, the same at every r."""
-        return extremal_at_minus_one(self.beta, self.config)
+        return extremal_at_minus_one(self.beta)
 
     def equation(self, r: float) -> float:
         if self.variant is Variant.BOHR_SCHWARZ:
@@ -173,17 +162,16 @@ def _area_term(problem: RadiusProblem, r: float) -> float:
     """F(area bound at r); 0.0 for the zero polynomial, whose F is 0 anyway."""
     if getattr(problem.F, "is_zero", False):
         return 0.0
-    return problem.F(area_majorant(r, problem.beta, problem.config))
+    return problem.F(area_majorant(r, problem.beta))
 
 
 def equation_bohr(problem: RadiusProblem, r: float) -> float:
     """H(r) = r^{pm} + f(r) - r + F(area bound at r) + f(-1)."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    beta, cfg = problem.beta, problem.config
     return (
         r ** (problem.p * problem.m)
-        + eval_extremal(r, beta, cfg)
+        + eval_extremal(r, problem.beta)
         - r
         + _area_term(problem, r)
         + problem._f_minus_one
@@ -194,10 +182,10 @@ def equation_rogosinski(problem: RadiusProblem, r: float) -> float:
     """G(r) = f(r^m)^p + f(r) - hat_f(r) + F(area bound at r) + f(-1)."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    beta, cfg = problem.beta, problem.config
+    beta = problem.beta
     return (
-        eval_extremal(r ** problem.m, beta, cfg) ** problem.p
-        + eval_extremal(r, beta, cfg)
+        eval_extremal(r ** problem.m, beta) ** problem.p
+        + eval_extremal(r, beta)
         - hat_f(problem.N, beta, r)
         + _area_term(problem, r)
         + problem._f_minus_one

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import bounds as _bounds
 from .extremal import (
-    DEFAULT_CONFIG,
     BetaParam,
-    ExtremalEvalConfig,
+    beta_value,
     eval_extremal,
     extremal_at_minus_one,
     extremal_coeff,
@@ -36,9 +35,10 @@ from .radii import (
     ZERO_POLYNOMIAL,
     solve_radius,
 )
-from .series import DEFAULT_ORDER, TruncatedSeries, caratheodory_to_member, transport_rows
 
 TWO_PI = 2.0 * math.pi
+
+DEFAULT_ORDER = 64
 
 DEFAULT_SLACK = 1e-9
 
@@ -93,12 +93,13 @@ def sample_measure(num_atoms: int, seed: int) -> HerglotzMeasure:
     return mu
 
 
-def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Caratheodory coefficients c_0 = 1, c_n = 2 sum_j w_j e^{i n theta_j}."""
+def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Caratheodory coefficients c_0 = 1, c_n = 2 sum_j w_j e^{i n theta_j},
+    n = 1..order."""
     c = np.empty(order + 1, dtype=complex)
     c[0] = 1.0
     c[1:] = _herglotz_coefficients(mu, np.arange(1, order + 1))
-    return TruncatedSeries(c)
+    return c
 
 
 def _herglotz_coefficients(mu: HerglotzMeasure, n: np.ndarray) -> np.ndarray:
@@ -109,21 +110,40 @@ def _herglotz_coefficients(mu: HerglotzMeasure, n: np.ndarray) -> np.ndarray:
     return 2.0 * np.exp(1j * np.outer(n, mu.angles)) @ mu.weights
 
 
+def caratheodory_to_member(c: np.ndarray, beta: "BetaParam | float") -> np.ndarray:
+    """Taylor coefficients a_1..a_{N+1} of the class member generated by p,
+    for one row c_0..c_N of Caratheodory coefficients or a block of rows.
+
+    The defining relation beta*f(z)/z + (1-beta)*f'(z) = p(z) matches the
+    z^{n-1} coefficient as (beta + (1-beta)*n) * a_n = c_{n-1}, i.e.
+    a_n = c_{n-1} / (n - beta*(n-1)) for n >= 2, with a_1 = 1 forced by
+    the normalization p(0) = 1.  (Derivation in docs/coefficients.md.)
+
+    Index k of each returned row holds a_{k+1}.
+    """
+    c = np.asarray(c, dtype=complex)
+    if not np.all(c[..., 0] == 1):
+        raise ValueError(f"Caratheodory rows must have c_0 = 1, got {c[..., 0]}")
+    b = beta_value(beta)
+    n = np.arange(2, c.shape[-1] + 1, dtype=float)
+    a = np.empty(c.shape, dtype=complex)
+    a[..., 0] = 1.0
+    a[..., 1:] = c[..., 1:] / ((1.0 - b) * n + b)
+    return a
+
+
 @dataclass(frozen=True)
 class ClassMember:
-    """A concrete class member, represented through its Caratheodory source.
-
-    `a` stores the Taylor coefficients with a[k] = a_{k+1} (so a[0] = 1).
-    """
+    """A concrete class member: `a` stores the Taylor coefficients with
+    a[k] = a_{k+1} (so a[0] = 1), through the truncation order."""
 
     beta: BetaParam
-    c: TruncatedSeries
     a: np.ndarray
 
     @classmethod
-    def from_caratheodory(cls, c: TruncatedSeries, beta: "BetaParam | float") -> "ClassMember":
+    def from_caratheodory(cls, c: np.ndarray, beta: "BetaParam | float") -> "ClassMember":
         bp = beta if isinstance(beta, BetaParam) else BetaParam(float(beta))
-        return cls(beta=bp, c=c, a=caratheodory_to_member(c, bp))
+        return cls(beta=bp, a=caratheodory_to_member(c, bp))
 
     @classmethod
     def from_measure(
@@ -136,16 +156,9 @@ class ClassMember:
         """The sharpness member: point mass at angle 0 (c_n = 2 for all n)."""
         return cls.from_measure(HerglotzMeasure.point_mass(), beta, order)
 
-    @classmethod
-    def identity(cls, beta: "BetaParam | float", order: int = DEFAULT_ORDER) -> "ClassMember":
-        """f(z) = z, generated by p == 1."""
-        c = np.zeros(order + 1, dtype=complex)
-        c[0] = 1.0
-        return cls.from_caratheodory(TruncatedSeries(c), beta)
-
     @property
     def order(self) -> int:
-        return self.c.order
+        return self.a.size - 1
 
     @property
     def a2(self) -> complex:
@@ -154,10 +167,6 @@ class ClassMember:
     @property
     def a3(self) -> complex:
         return complex(self.a[2])
-
-    def generator_real_part(self, z: complex) -> float:
-        """Re(beta*f(z)/z + (1-beta)*f'(z)) = Re p(z), by truncated series."""
-        return float(np.real(self.c.eval(z)))
 
 
 @dataclass(frozen=True)
@@ -246,22 +255,16 @@ def _schwarz_factor(r: float, mode: str) -> float:
 
 
 def _normalized_area_rows(a: np.ndarray, r: float) -> np.ndarray:
+    """S_r/pi = sum n |a_n|^2 r^{2n} of each row of member coefficients."""
     n = np.arange(1, a.shape[1] + 1, dtype=float)
     return np.sum(n * np.abs(a) ** 2 * (r * r) ** n, axis=1)
 
 
-def normalized_area(member: ClassMember, r: float) -> float:
-    """S_r/pi = sum n |a_n|^2 r^{2n} from the member's own coefficients."""
-    return float(_normalized_area_rows(member.a[None], r)[0])
-
-
-def _coefficient_tail_bound(
-    beta: BetaParam, order: int, r: float, cfg: ExtremalEvalConfig
-) -> float:
+def _coefficient_tail_bound(beta: BetaParam, order: int, r: float) -> float:
     """Certified bound on sum_{n > order + 1} |a_n| r^n via the sharp coefficients."""
     n0 = order + 2
     tail = extremal_coeff(n0, beta) * r ** n0 / (1.0 - r)
-    if tail > max(cfg.tolerance, 1e-9):
+    if tail > 1e-9:
         raise ValueError(f"truncation order {order} cannot certify the majorant at r = {r}")
     return tail
 
@@ -280,7 +283,6 @@ def _majorant(
     p: float,
     F: AreaFunctional,
     schwarz_mode: str,
-    cfg: ExtremalEvalConfig,
 ) -> _Majorant:
     """The Bohr (sum from n = 2) or Bohr-Rogosinski (sum from n = N)
     majorant at |z| = r, as a map from rows of member coefficients
@@ -288,12 +290,12 @@ def _majorant(
     where tail bounds the terms beyond the truncation order."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    tail = _coefficient_tail_bound(beta, order, r, cfg)
+    tail = _coefficient_tail_bound(beta, order, r)
     psi = _schwarz_factor(r, schwarz_mode)
     if variant is Variant.BOHR_SCHWARZ:
         start, lead = 2, (r ** m * psi) ** p
     else:
-        start, lead = N, eval_extremal(r ** m * psi, beta, cfg) ** p
+        start, lead = N, eval_extremal(r ** m * psi, beta) ** p
     powers = r ** np.arange(start, order + 2, dtype=float)
 
     def majorant(a: np.ndarray) -> np.ndarray:
@@ -313,7 +315,6 @@ def bohr_sum(
     p: float = 1.0,
     F: AreaFunctional = ZERO_POLYNOMIAL,
     schwarz_mode: str = "monomial",
-    cfg: ExtremalEvalConfig = DEFAULT_CONFIG,
 ) -> float:
     """Majorant |w_m(z)|^p + sum_{n>=2} |a_n| |w_n(z)| + F(S_r/pi) at |z| = r.
 
@@ -323,7 +324,7 @@ def bohr_sum(
     included, so the value never falls below the untruncated majorant.
     """
     majorant = _majorant(
-        Variant.BOHR_SCHWARZ, member.beta, member.order, r, 2, m, p, F, schwarz_mode, cfg
+        Variant.BOHR_SCHWARZ, member.beta, member.order, r, 2, m, p, F, schwarz_mode
     )
     return float(majorant(member.a[None])[0])
 
@@ -336,7 +337,6 @@ def rogosinski_sum(
     p: float = 1.0,
     F: AreaFunctional = ZERO_POLYNOMIAL,
     schwarz_mode: str = "monomial",
-    cfg: ExtremalEvalConfig = DEFAULT_CONFIG,
 ) -> float:
     """Majorant |f(w_m(z))|^p + sum_{n>=N} |a_n| |w_n(z)| + F(S_r/pi).
 
@@ -345,7 +345,7 @@ def rogosinski_sum(
     certified truncation tail is included, as in :func:`bohr_sum`.
     """
     majorant = _majorant(
-        Variant.BOHR_ROGOSINSKI, member.beta, member.order, r, N, m, p, F, schwarz_mode, cfg
+        Variant.BOHR_ROGOSINSKI, member.beta, member.order, r, N, m, p, F, schwarz_mode
     )
     return float(majorant(member.a[None])[0])
 
@@ -356,14 +356,13 @@ def _radius_check(
     """Id, witness, majorant and level -f(-1) of the problem's check at `at`."""
     tag = "bohr" if problem.variant is Variant.BOHR_SCHWARZ else "rogosinski"
     majorant = _majorant(
-        problem.variant, beta, order, at, problem.N, problem.m, problem.p,
-        problem.F, schwarz_mode, problem.config,
+        problem.variant, beta, order, at, problem.N, problem.m, problem.p, problem.F, schwarz_mode
     )
     return (
         f"{tag}[beta={beta.value:g},m={problem.m},p={problem.p:g},N={problem.N}]",
         f"r={at!r}, mode={schwarz_mode}",
         majorant,
-        -extremal_at_minus_one(beta, problem.config),
+        -extremal_at_minus_one(beta),
     )
 
 
@@ -430,6 +429,8 @@ class VerifyConfig:
             raise ValueError(f"samples: must be >= 0, got {self.samples}")
         if self.atoms < 1:
             raise ValueError(f"atoms: must be >= 1, got {self.atoms}")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.order < self.n_max:
             raise ValueError(f"order: must be >= n_max = {self.n_max}, got {self.order}")
         # A nan slack passes nothing and an infinite one everything.
@@ -519,7 +520,7 @@ def falsification_sweep(
         first_seed = config.seed * 1_000_003 + gi * 100_003
         for start in range(0, config.samples, _BLOCK):
             seeds = range(first_seed + start, first_seed + min(start + _BLOCK, config.samples))
-            a = transport_rows(_caratheodory_rows(config.atoms, seeds, config.order), bp)
+            a = caratheodory_to_member(_caratheodory_rows(config.atoms, seeds, config.order), bp)
             for ids, lhs, rhs in (
                 _coefficient_checks(a, bp, config.n_max),
                 _fs_and_log_checks(a, bp, config.mu_grid),

@@ -1,0 +1,184 @@
+"""Reference implementations the tests compare the library against.
+
+Each one recomputes a quantity by a different route from the library's
+(the generic Psi pipeline behind the closed-form logarithmic bounds, Euler
+summation of the boundary series, long division of power series, ...), so
+none of them is needed by the library itself.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from abeta.extremal import BetaParam, beta_value, extremal_coeff
+from abeta.radii import AreaFunctional
+from abeta.verify import DEFAULT_ORDER, ClassMember, _normalized_area_rows
+
+
+# -- Caratheodory functional bounds behind the closed forms of abeta.bounds --
+
+
+def ma_minda_bound(v: float) -> float:
+    """Sharp bound on |c2 - v*c1^2| over the Caratheodory class.
+
+    Piecewise linear in v: -4v+2 for v < 0, 2 on [0, 1], 4v-2 for v > 1;
+    continuous at both breakpoints.
+    """
+    if v < 0.0:
+        return -4.0 * v + 2.0
+    if v <= 1.0:
+        return 2.0
+    return 4.0 * v - 2.0
+
+
+@dataclass(frozen=True)
+class PsiInputs:
+    """Coefficients (B1 > 0, B2 complex, B3 real) of the Psi functional
+
+    Psi+(c1, c2) = |B2 c1^2 + B3 c2| - |B1 c1| over the Caratheodory
+    class, with the derived quantity B4 = |4 B2 + 2 B3|.
+    """
+
+    B1: float
+    B2: complex
+    B3: float
+
+    def __post_init__(self) -> None:
+        if not self.B1 > 0:
+            raise ValueError(f"B1 must be positive, got {self.B1}")
+
+    @property
+    def B4(self) -> float:
+        return abs(4.0 * self.B2 + 2.0 * self.B3)
+
+
+def psi_plus_bound(b: PsiInputs) -> float:
+    """Sharp upper bound on Psi+ over the Caratheodory class."""
+    if abs(2.0 * b.B2 + b.B3) >= abs(b.B3) + b.B1:
+        return b.B4 - 2.0 * b.B1
+    return 2.0 * abs(b.B3)
+
+
+def psi_minus_bound(b: PsiInputs) -> float:
+    """Sharp upper bound on Psi- = -Psi+ over the Caratheodory class."""
+    t = b.B4 + 2.0 * abs(b.B3)
+    if b.B1 >= t:
+        return 2.0 * b.B1 - b.B4
+    if b.B1 ** 2 <= 2.0 * abs(b.B3) * t:
+        return 2.0 * b.B1 * math.sqrt(2.0 * abs(b.B3) / t)
+    return 2.0 * abs(b.B3) + b.B1 ** 2 / t
+
+
+def psi_inputs_log(b: float) -> PsiInputs:
+    return PsiInputs(B1=1.0, B2=-1.0 / (2.0 * (2.0 - b)), B3=(2.0 - b) / (3.0 - 2.0 * b))
+
+
+def psi_inputs_inverse_log(b: float) -> PsiInputs:
+    return PsiInputs(B1=1.0, B2=3.0 / (2.0 * (2.0 - b)), B3=-(2.0 - b) / (3.0 - 2.0 * b))
+
+
+def log_diff_bounds_via_psi(beta: "float | BetaParam") -> tuple[float, float]:
+    """log_diff_bounds recomputed through the generic Psi pipeline."""
+    b = beta_value(beta)
+    inputs = psi_inputs_log(b)
+    scale = 1.0 / (2.0 * (2.0 - b))
+    return -scale * psi_minus_bound(inputs), scale * psi_plus_bound(inputs)
+
+
+def inverse_log_diff_bounds_via_psi(beta: "float | BetaParam") -> tuple[float, float]:
+    """inverse_log_diff_bounds recomputed through the generic Psi pipeline."""
+    b = beta_value(beta)
+    inputs = psi_inputs_inverse_log(b)
+    scale = 1.0 / (2.0 * (2.0 - b))
+    return -scale * psi_minus_bound(inputs), scale * psi_plus_bound(inputs)
+
+
+def inverse_coeffs(a2: complex, a3: complex) -> tuple[complex, complex]:
+    """Taylor coefficients (A2, A3) of the inverse function."""
+    return -a2, -a3 + 2.0 * a2 * a2
+
+
+# -- Extremal function and area functionals --
+
+
+def boundary_series_euler(beta: "float | BetaParam", terms: int = 64) -> float:
+    """f(-1) via Euler-accelerated summation of the alternating series.
+
+    Independent cross-check for extremal_at_minus_one; the raw series
+    converges only like an alternating harmonic series, but the Euler
+    transform of its smooth terms converges geometrically.
+    """
+    b = beta_value(beta, strict=True)
+    d = np.array([extremal_coeff(n, b) for n in range(1, terms + 2)])
+    # f(-1) = -sum_{k>=0} (-1)^k d[k]  (d[k] = a_{k+1});  Euler transform:
+    # sum (-1)^k d_k = sum_k (-1)^k (Delta^k d)_0 / 2^{k+1}.
+    total = 0.0
+    sign = 1.0
+    for k in range(terms):
+        total += sign * d[0] / 2.0 ** (k + 1)
+        d = d[1:] - d[:-1]
+        sign = -sign
+    return -total
+
+
+def monotone_spot_check(F: AreaFunctional, grid_points: int = 32) -> bool:
+    """Cheap sanity check that F(0) = 0 and F is nondecreasing on a grid."""
+    if abs(F(0.0)) > 1e-14:
+        return False
+    ws = [4.0 * k / (grid_points - 1) for k in range(grid_points)]
+    vals = [F(w) for w in ws]
+    return all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+# -- Truncated power series (coefficient arrays c_0..c_N) and members --
+
+
+def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product truncated to the shorter operand."""
+    return np.convolve(a, b)[: min(len(a), len(b))]
+
+
+def series_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Long division truncated to the shorter operand.
+
+    Requires den[0] != 0; satisfies series_mul(result, den) == num through
+    the shared order.
+    """
+    num = np.asarray(num, dtype=complex)
+    den = np.asarray(den, dtype=complex)
+    if den[0] == 0:
+        raise ZeroDivisionError("series division requires a nonzero constant term")
+    q = np.zeros(min(num.size, den.size), dtype=complex)
+    for k in range(q.size):
+        acc = num[k]
+        for j in range(1, k + 1):
+            acc -= den[j] * q[k - j]
+        q[k] = acc / den[0]
+    return q
+
+
+def identity_member(beta: "float | BetaParam", order: int = DEFAULT_ORDER) -> ClassMember:
+    """f(z) = z, generated by p == 1."""
+    c = np.zeros(order + 1, dtype=complex)
+    c[0] = 1.0
+    return ClassMember.from_caratheodory(c, beta)
+
+
+def normalized_area(member: ClassMember, r: float) -> float:
+    """S_r/pi = sum n |a_n|^2 r^{2n}, by the sweep's row evaluator."""
+    return float(_normalized_area_rows(member.a[None], r)[0])
+
+
+def generator_real_part(member: ClassMember, z: complex) -> float:
+    """Re(beta*f(z)/z + (1-beta)*f'(z)) = Re p(z), by the truncated series.
+
+    The z^{n-1} coefficient of beta*f/z + (1-beta)*f' is
+    ((1-beta)*n + beta) * a_n.
+    """
+    b = member.beta.value
+    n = np.arange(1, member.a.size + 1, dtype=float)
+    p = ((1.0 - b) * n + b) * member.a
+    return float(np.polynomial.polynomial.polyval(z, p).real)

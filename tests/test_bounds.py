@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from abeta.bounds import (
     LogCoeffPair,
-    PsiInputs,
     fekete_szego_bound,
-    inverse_coeffs,
     inverse_log_coeffs,
     inverse_log_diff_bounds,
-    inverse_log_diff_bounds_via_psi,
     log_coeffs,
     log_diff_bounds,
+)
+from oracles import (
+    PsiInputs,
+    inverse_coeffs,
+    inverse_log_diff_bounds_via_psi,
     log_diff_bounds_via_psi,
     ma_minda_bound,
     psi_minus_bound,

@@ -145,6 +145,22 @@ class TestRadiusCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("radius", "--beta", "0", "--m", "0"), "--m"),
+            (("radius", "--beta", "0", "--p", "-1"), "--p"),
+            (("rogosinski", "--beta", "0", "--N", "0"), "--N"),
+            (("sweep", "--beta-grid", "0.5", "--N", "0"), "--N"),
+            (("verify", "--beta-grid", "0.5,1", "--samples", "1"), "--beta-grid"),
+            (("verify", "--beta", "0", "--samples", "1", "--seed", "-3"), "--seed"),
+        ],
+    )
+    def test_invalid_field_is_one_error_line_naming_its_flag(self, argv, flag):
+        proc = run_process(*argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {flag}: ") and proc.stderr.count("\n") == 1
+
     def test_poly_shrinks_root(self, capsys):
         _, plain_out, _ = run(capsys, "radius", "--beta", "0")
         _, poly_out, _ = run(capsys, "radius", "--beta", "0", "--poly", "0.5")

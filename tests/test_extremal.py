@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from abeta.extremal import (
     BetaDomainError,
     BetaParam,
-    ExtremalEvalConfig,
+    ConvergenceError,
     area_majorant,
-    boundary_series_euler,
     eval_extremal,
     extremal_at_minus_one,
     extremal_coeff,
     growth_envelope,
 )
+from oracles import boundary_series_euler
 
 
 def f_tilde_beta0(r: float) -> float:
@@ -68,14 +68,20 @@ class TestEvalExtremal:
         assert eval_extremal(r, beta) == pytest.approx(expected, abs=1e-9)
 
     def test_truncation_certificate(self):
-        # Tightening the tolerance (hence lengthening the series) moves
-        # the value by less than the looser tolerance.
-        loose = ExtremalEvalConfig(tolerance=1e-6)
-        tight = ExtremalEvalConfig(tolerance=1e-13)
-        for beta, r in [(0.0, 0.9), (0.6, -0.8), (1.0, 0.5)]:
-            assert abs(
-                eval_extremal(r, beta, loose) - eval_extremal(r, beta, tight)
-            ) < 1e-6
+        # The certified series (tail below 1e-12) against closed forms,
+        # long series included: -r - 2 log(1 - r) at beta = 0 and
+        # r + 2 r^2 / (1 - r) at beta = 1.
+        for r in (0.9, -0.8, 0.5):
+            assert abs(eval_extremal(r, 0.0) - f_tilde_beta0(r)) < 1e-11
+            assert abs(eval_extremal(r, 1.0) - (r + 2.0 * r * r / (1.0 - r))) < 1e-11
+
+    def test_series_too_long_to_certify(self):
+        # Near |r| = 1 the tail bound stays above the tolerance up to the
+        # cap on the series length.
+        with pytest.raises(ConvergenceError):
+            eval_extremal(1.0 - 1e-9, 0.0)
+        with pytest.raises(ConvergenceError):
+            area_majorant(1.0 - 1e-9, 0.0)
 
     def test_monotone_and_dominates_r(self):
         for beta in (0.0, 0.5, 0.9):
@@ -173,14 +179,6 @@ class TestGrowthEnvelope:
 
 
 class TestConfigValidation:
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            ExtremalEvalConfig(tolerance=0.0)
-
-    def test_rejects_small_max_terms(self):
-        with pytest.raises(ValueError):
-            ExtremalEvalConfig(max_terms=4)
-
     def test_beta_param_range(self):
         with pytest.raises(BetaDomainError):
             BetaParam(-0.1)
