@@ -150,7 +150,7 @@ def _root_document(problem: RadiusProblem, result: RootResult) -> dict:
         "m": problem.m,
         "p": float(fmt(problem.p)),
         "N": problem.N,
-        "poly": list(getattr(problem.F, "lambdas", ())),
+        "poly": list(problem.F.lambdas),
         "root": float(fmt(result.root)),
         "residual": float(fmt(result.residual)),
         "bracket_lo": float(fmt(result.bracket[0])),

@@ -13,14 +13,13 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .extremal import (
     BetaParam,
     area_majorant,
+    beta_value,
     eval_extremal,
     extremal_at_minus_one,
-    extremal_coeff,
 )
 
 # Never evaluate the equations at or beyond this point; the extremal
@@ -71,6 +70,7 @@ class AreaPolynomial:
         return all(l == 0.0 for l in self.lambdas)
 
     def __call__(self, w: float) -> float:
+        """Horner's rule; on a float64 array, the same operations per element."""
         acc = 0.0
         for lam in reversed(self.lambdas):
             acc = (acc + lam) * w
@@ -78,11 +78,6 @@ class AreaPolynomial:
 
 
 ZERO_POLYNOMIAL = AreaPolynomial()
-
-# Any monotone increasing map with F(0) = 0 is accepted in place of an
-# AreaPolynomial; monotonicity of a caller-supplied function is the
-# caller's obligation.
-AreaFunctional = Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class RadiusProblem:
     m: int = 1
     p: float = 1.0
     N: int = 1
-    F: AreaFunctional = ZERO_POLYNOMIAL
+    F: AreaPolynomial = ZERO_POLYNOMIAL
 
     def __post_init__(self) -> None:
         beta = self.beta if isinstance(self.beta, BetaParam) else BetaParam(self.beta)
@@ -112,6 +107,8 @@ class RadiusProblem:
             raise ValueError(f"p: must be positive and finite, got {self.p}")
         if self.N < 1:
             raise ValueError(f"N: must be a positive integer, got {self.N}")
+        if not isinstance(self.F, AreaPolynomial):
+            raise TypeError(f"F: must be an AreaPolynomial, got {self.F!r}")
 
     @functools.cached_property
     def _f_minus_one(self) -> float:
@@ -138,7 +135,9 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
     """Initial partial sum removed from the majorant in the Rogosinski sum.
 
     0 for N = 1, r for N = 2, and r + sum_{n=2}^{N-1} a_n r^n (extremal
-    coefficients) for N >= 3.
+    coefficients) for N >= 3.  The terms decrease, so the sum stops at the
+    first term below half an ulp of the total: it and every later term
+    would be rounded away.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -146,21 +145,19 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
         raise ValueError(f"r must lie in [0, 1), got {r}")
     if N == 1:
         return 0.0
+    b = beta_value(beta)
     total = r
-    for n, c in enumerate(_hat_coefficients(N, beta), start=2):
-        total += c * r ** n
+    for n in range(2, N):
+        term = 2.0 / ((1.0 - b) * n + b) * r ** n  # extremal_coeff(n, b) * r ** n
+        if term < 0.5 * math.ulp(total):
+            break
+        total += term
     return total
-
-
-@functools.lru_cache(maxsize=64)
-def _hat_coefficients(N: int, beta: "BetaParam | float") -> tuple[float, ...]:
-    """Extremal coefficients a_2..a_{N-1}, computed once per (N, beta)."""
-    return tuple(extremal_coeff(n, beta) for n in range(2, N))
 
 
 def _area_term(problem: RadiusProblem, r: float) -> float:
     """F(area bound at r); 0.0 for the zero polynomial, whose F is 0 anyway."""
-    if getattr(problem.F, "is_zero", False):
+    if problem.F.is_zero:
         return 0.0
     return problem.F(area_majorant(r, problem.beta))
 

@@ -8,8 +8,10 @@ any inequality violation beyond numerical slack falsifies the
 implementation (or the inequality).
 
 Each inequality has one evaluator, which works on rows of member
-coefficients (one row per member).  The single-member checks call it with
-one row; :func:`falsification_sweep` calls it on blocks of sampled members.
+coefficients (one row per member).  :func:`check_bohr`,
+:func:`check_coefficient_bounds` and :func:`check_fs_and_log_bounds` call
+it with one row; :func:`falsification_sweep` calls it on blocks of sampled
+members.
 """
 
 from __future__ import annotations
@@ -28,19 +30,21 @@ from .extremal import (
     extremal_at_minus_one,
     extremal_coeff,
 )
-from .radii import (
-    AreaFunctional,
-    RadiusProblem,
-    Variant,
-    ZERO_POLYNOMIAL,
-    solve_radius,
-)
+from .radii import RadiusProblem, Variant, solve_radius
 
 TWO_PI = 2.0 * math.pi
 
 DEFAULT_ORDER = 64
 
 DEFAULT_SLACK = 1e-9
+
+# What the sweep checks: |a_n| for n = 2..N_MAX, Fekete-Szego at each mu of
+# MU_GRID, and the Bohr and Rogosinski (sections from ROGOSINSKI_N) radius
+# checks RADIUS_OFFSET inside their roots.
+N_MAX = 20
+MU_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
+RADIUS_OFFSET = 1e-3
+ROGOSINSKI_N = 2
 
 # Samples the sweep checks together: enough that numpy's per-call overhead
 # is small next to drawing the samples, few enough that the (block x order)
@@ -206,26 +210,24 @@ def _coefficient_checks(a: np.ndarray, beta: BetaParam, n_max: int) -> _Checks:
     return [f"coeff[n={n}]" for n in ns], _bounds.complex_modulus(a[:, 1:n_max]), rhs
 
 
-def _fs_and_log_checks(
-    a: np.ndarray, beta: BetaParam, mu_grid: tuple[float, ...]
-) -> _Checks:
-    """Fekete-Szego over the mu grid, then both logarithmic-difference ranges."""
+def _fs_and_log_checks(a: np.ndarray, beta: BetaParam) -> _Checks:
+    """Fekete-Szego over MU_GRID, then both logarithmic-difference ranges."""
     b = beta.value
     a2, a3 = a[:, 1], a[:, 2]
     gamma = _bounds.log_coeffs(a2, a3).moduli_difference
     inv = _bounds.inverse_log_coeffs(a2, a3).moduli_difference
     lo, hi = _bounds.log_diff_bounds(b)
     lo_i, hi_i = _bounds.inverse_log_diff_bounds(b)
-    ids = [f"fekete_szego[mu={mu:g}]" for mu in mu_grid] + [
+    ids = [f"fekete_szego[mu={mu:g}]" for mu in MU_GRID] + [
         "log_diff_upper",
         "log_diff_lower",
         "inverse_log_diff_upper",
         "inverse_log_diff_lower",
     ]
-    fs = (_bounds.fekete_szego_functional(a2, a3, mu) for mu in mu_grid)
+    fs = (_bounds.fekete_szego_functional(a2, a3, mu) for mu in MU_GRID)
     lhs = _columns(*fs, gamma, lo, inv, lo_i)
     rhs = _columns(
-        *(_bounds.fekete_szego_bound(mu, b) for mu in mu_grid), hi, gamma, hi_i, inv
+        *(_bounds.fekete_szego_bound(mu, b) for mu in MU_GRID), hi, gamma, hi_i, inv
     )
     return ids, lhs, rhs
 
@@ -238,20 +240,6 @@ def _reports(checks: _Checks, witness: str, slack: float) -> list[BoundReport]:
         BoundReport(check_id, float(l), float(r), witness, slack)
         for check_id, l, r in zip(ids, lhs[0], rhs[0])
     ]
-
-
-def _damping(r: float) -> float:
-    # Fixed unit-bounded analytic factor (a real Blaschke-type factor),
-    # used to exercise non-monomial Schwarz functions.
-    return (r + 0.5) / (1.0 + 0.5 * r)
-
-
-def _schwarz_factor(r: float, mode: str) -> float:
-    if mode == "monomial":
-        return 1.0
-    if mode == "damped":
-        return _damping(r)
-    raise ValueError(f"unknown schwarz_mode {mode!r}")
 
 
 def _normalized_area_rows(a: np.ndarray, r: float) -> np.ndarray:
@@ -273,105 +261,50 @@ def _coefficient_tail_bound(beta: BetaParam, order: int, r: float) -> float:
 _Majorant = Callable[[np.ndarray], np.ndarray]
 
 
-def _majorant(
-    variant: Variant,
-    beta: BetaParam,
-    order: int,
-    r: float,
-    N: int,
-    m: int,
-    p: float,
-    F: AreaFunctional,
-    schwarz_mode: str,
-) -> _Majorant:
-    """The Bohr (sum from n = 2) or Bohr-Rogosinski (sum from n = N)
-    majorant at |z| = r, as a map from rows of member coefficients
-    a_1..a_{order+1} to lead + psi * (sum_n |a_n| r^n + tail) + F(S_r/pi),
-    where tail bounds the terms beyond the truncation order."""
+def _majorant(problem: RadiusProblem, beta: BetaParam, order: int, r: float) -> _Majorant:
+    """The problem's Bohr (sum from n = 2) or Bohr-Rogosinski (sum from n = N)
+    majorant at |z| = r with w_n(z) = z^n, as a map from rows of member
+    coefficients a_1..a_{order+1} to lead + sum_n |a_n| r^n + tail +
+    F(S_r/pi), where tail bounds the terms beyond the truncation order.
+
+    The Bohr lead is r^{mp}; the Rogosinski lead bounds |f(z^m)|^p by the
+    sharp growth estimate at r^m, the estimate the radius equations use.
+    """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
     tail = _coefficient_tail_bound(beta, order, r)
-    psi = _schwarz_factor(r, schwarz_mode)
-    if variant is Variant.BOHR_SCHWARZ:
-        start, lead = 2, (r ** m * psi) ** p
+    m, p, F = problem.m, problem.p, problem.F
+    if problem.variant is Variant.BOHR_SCHWARZ:
+        start, lead = 2, (r ** m) ** p
     else:
-        start, lead = N, eval_extremal(r ** m * psi, beta) ** p
+        start, lead = problem.N, eval_extremal(r ** m, beta) ** p
     powers = r ** np.arange(start, order + 2, dtype=float)
 
     def majorant(a: np.ndarray) -> np.ndarray:
         body = np.sum(np.abs(a[:, start - 1 :]) * powers, axis=1)
-        value = lead + (body + tail) * psi
-        if getattr(F, "is_zero", False):
+        value = lead + (body + tail)
+        if F.is_zero:
             return value  # F(S_r/pi) = 0: the area is not needed
-        return value + [F(float(w)) for w in _normalized_area_rows(a, r)]
+        return value + F(_normalized_area_rows(a, r))
 
     return majorant
 
 
-def bohr_sum(
-    member: ClassMember,
-    r: float,
-    m: int = 1,
-    p: float = 1.0,
-    F: AreaFunctional = ZERO_POLYNOMIAL,
-    schwarz_mode: str = "monomial",
-) -> float:
-    """Majorant |w_m(z)|^p + sum_{n>=2} |a_n| |w_n(z)| + F(S_r/pi) at |z| = r.
-
-    Monomial mode uses w_n(z) = z^n (the sharpness configuration); damped
-    mode multiplies each w_n by a fixed unit-bounded analytic factor.  The
-    certified bound on the coefficients beyond the truncation order is
-    included, so the value never falls below the untruncated majorant.
-    """
-    majorant = _majorant(
-        Variant.BOHR_SCHWARZ, member.beta, member.order, r, 2, m, p, F, schwarz_mode
-    )
-    return float(majorant(member.a[None])[0])
-
-
-def rogosinski_sum(
-    member: ClassMember,
-    r: float,
-    N: int,
-    m: int = 1,
-    p: float = 1.0,
-    F: AreaFunctional = ZERO_POLYNOMIAL,
-    schwarz_mode: str = "monomial",
-) -> float:
-    """Majorant |f(w_m(z))|^p + sum_{n>=N} |a_n| |w_n(z)| + F(S_r/pi).
-
-    |f(w_m(z))| is upper-bounded by the sharp growth estimate at r^m,
-    which is the estimate the radius equations themselves rely on.  The
-    certified truncation tail is included, as in :func:`bohr_sum`.
-    """
-    majorant = _majorant(
-        Variant.BOHR_ROGOSINSKI, member.beta, member.order, r, N, m, p, F, schwarz_mode
-    )
-    return float(majorant(member.a[None])[0])
-
-
 def _radius_check(
-    problem: RadiusProblem, beta: BetaParam, order: int, at: float, schwarz_mode: str
+    problem: RadiusProblem, beta: BetaParam, order: int, at: float
 ) -> tuple[str, str, _Majorant, float]:
     """Id, witness, majorant and level -f(-1) of the problem's check at `at`."""
     tag = "bohr" if problem.variant is Variant.BOHR_SCHWARZ else "rogosinski"
-    majorant = _majorant(
-        problem.variant, beta, order, at, problem.N, problem.m, problem.p, problem.F, schwarz_mode
-    )
     return (
         f"{tag}[beta={beta.value:g},m={problem.m},p={problem.p:g},N={problem.N}]",
-        f"r={at!r}, mode={schwarz_mode}",
-        majorant,
+        f"r={at!r}, mode=monomial",
+        _majorant(problem, beta, order, at),
         -extremal_at_minus_one(beta),
     )
 
 
 def check_bohr(
-    member: ClassMember,
-    problem: RadiusProblem,
-    at: float,
-    schwarz_mode: str = "monomial",
-    slack: float = DEFAULT_SLACK,
+    member: ClassMember, problem: RadiusProblem, at: float, slack: float = DEFAULT_SLACK
 ) -> BoundReport:
     """Compare the problem's majorant at radius `at` against -f(-1).
 
@@ -381,9 +314,7 @@ def check_bohr(
     """
     if not 0.0 < at < 1.0:
         raise ValueError(f"at must lie in (0, 1), got {at}")
-    check_id, witness, majorant, rhs = _radius_check(
-        problem, member.beta, member.order, at, schwarz_mode
-    )
+    check_id, witness, majorant, rhs = _radius_check(problem, member.beta, member.order, at)
     return BoundReport(check_id, float(majorant(member.a[None])[0]), rhs, witness, slack)
 
 
@@ -398,12 +329,10 @@ def check_coefficient_bounds(
 
 
 def check_fs_and_log_bounds(
-    member: ClassMember,
-    mu_grid: tuple[float, ...] = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0),
-    slack: float = DEFAULT_SLACK,
+    member: ClassMember, slack: float = DEFAULT_SLACK
 ) -> list[BoundReport]:
-    """Fekete-Szego over the mu grid plus both logarithmic-difference ranges."""
-    checks = _fs_and_log_checks(member.a[None], member.beta, mu_grid)
+    """Fekete-Szego over MU_GRID plus both logarithmic-difference ranges."""
+    checks = _fs_and_log_checks(member.a[None], member.beta)
     return _reports(checks, f"beta={member.beta.value:g}", slack)
 
 
@@ -417,22 +346,16 @@ class VerifyConfig:
     samples: int = 1000
     atoms: int = 4
     seed: int = 0
-    order: int = DEFAULT_ORDER
     slack: float = DEFAULT_SLACK
-    n_max: int = 20
-    mu_grid: tuple[float, ...] = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
-    radius_offset: float = 1e-3
-    rogosinski_N: int = 2
 
     def __post_init__(self) -> None:
-        if self.samples < 0:
-            raise ValueError(f"samples: must be >= 0, got {self.samples}")
+        # Zero samples would check nothing and report all_pass.
+        if self.samples < 1:
+            raise ValueError(f"samples: must be >= 1, got {self.samples}")
         if self.atoms < 1:
             raise ValueError(f"atoms: must be >= 1, got {self.atoms}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
-        if self.order < self.n_max:
-            raise ValueError(f"order: must be >= n_max = {self.n_max}, got {self.order}")
         # A nan slack passes nothing and an infinite one everything.
         if not (math.isfinite(self.slack) and self.slack >= 0.0):
             raise ValueError(f"slack: must be finite and >= 0, got {self.slack}")
@@ -511,20 +434,18 @@ def falsification_sweep(
         radius_checks = []
         for problem in (
             RadiusProblem(Variant.BOHR_SCHWARZ, bp, m=1, p=1.0),
-            RadiusProblem(Variant.BOHR_ROGOSINSKI, bp, m=1, p=1.0, N=config.rogosinski_N),
+            RadiusProblem(Variant.BOHR_ROGOSINSKI, bp, m=1, p=1.0, N=ROGOSINSKI_N),
         ):
             # Just inside the root; half of it for roots below twice the offset.
             root = solve_radius(problem).root
-            at = root - min(config.radius_offset, 0.5 * root)
-            radius_checks.append(_radius_check(problem, bp, config.order, at, "monomial"))
+            at = root - min(RADIUS_OFFSET, 0.5 * root)
+            radius_checks.append(_radius_check(problem, bp, DEFAULT_ORDER, at))
         first_seed = config.seed * 1_000_003 + gi * 100_003
         for start in range(0, config.samples, _BLOCK):
             seeds = range(first_seed + start, first_seed + min(start + _BLOCK, config.samples))
-            a = caratheodory_to_member(_caratheodory_rows(config.atoms, seeds, config.order), bp)
-            for ids, lhs, rhs in (
-                _coefficient_checks(a, bp, config.n_max),
-                _fs_and_log_checks(a, bp, config.mu_grid),
-            ):
+            c = _caratheodory_rows(config.atoms, seeds, DEFAULT_ORDER)
+            a = caratheodory_to_member(c, bp)
+            for ids, lhs, rhs in (_coefficient_checks(a, bp, N_MAX), _fs_and_log_checks(a, bp)):
                 _fold_block(worst, ids, lhs - rhs, f"beta={bp.value:g}", seeds)
             for check_id, witness, majorant, rhs in radius_checks:
                 _fold_block(worst, [check_id], majorant(a)[:, None] - rhs, witness, seeds)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from abeta.extremal import BetaParam, beta_value, extremal_coeff
-from abeta.radii import AreaFunctional
 from abeta.verify import DEFAULT_ORDER, ClassMember, _normalized_area_rows
 
 
@@ -124,7 +124,7 @@ def boundary_series_euler(beta: "float | BetaParam", terms: int = 64) -> float:
     return -total
 
 
-def monotone_spot_check(F: AreaFunctional, grid_points: int = 32) -> bool:
+def monotone_spot_check(F: Callable[[float], float], grid_points: int = 32) -> bool:
     """Cheap sanity check that F(0) = 0 and F is nondecreasing on a grid."""
     if abs(F(0.0)) > 1e-14:
         return False

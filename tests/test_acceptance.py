@@ -36,9 +36,8 @@ from abeta.verify import (
     ClassMember,
     HerglotzMeasure,
     VerifyConfig,
-    bohr_sum,
+    check_bohr,
     falsification_sweep,
-    rogosinski_sum,
 )
 from oracles import (
     inverse_log_diff_bounds_via_psi,
@@ -131,37 +130,33 @@ def test_criterion_3_radius_solver_grid():
 
 def test_criterion_4_sharpness_attainment():
     ok = True
+
+    def attained(prob, root):
+        # The sharp member's majorant meets -f(-1) at the root, exceeds it beyond.
+        member = ClassMember.extremal(prob.beta, order=128)
+        at_root, beyond = (check_bohr(member, prob, r) for r in (root, root + 1e-3))
+        return abs(at_root.margin) <= 1e-6 and beyond.lhs > beyond.rhs
+
     # Generalized equation with functional and power terms.
     for beta, m, p, F in [
         (0.25, 2, 2.0, AreaPolynomial((0.5,))),
         (0.0, 1, 1.0, AreaPolynomial((0.0, 0.25))),
     ]:
         prob = RadiusProblem(Variant.BOHR_SCHWARZ, BetaParam(beta), m=m, p=p, F=F)
-        root = solve_radius(prob).root
-        member = ClassMember.extremal(beta, order=128)
-        dist = -extremal_at_minus_one(beta)
-        ok &= abs(bohr_sum(member, root, m, p, F) - dist) <= 1e-6
-        ok &= bohr_sum(member, root + 1e-3, m, p, F) > dist
+        ok &= attained(prob, solve_radius(prob).root)
     # Plain Bohr baselines.
     for beta in (0.0, 0.5):
-        member = ClassMember.extremal(beta, order=128)
-        dist = -extremal_at_minus_one(beta)
         for m in (1, 2):
-            root = baseline_bohr_radius(beta, m).root
-            ok &= abs(bohr_sum(member, root, m, 1.0) - dist) <= 1e-6
-            ok &= bohr_sum(member, root + 1e-3, m, 1.0) > dist
+            prob = RadiusProblem(Variant.BOHR_SCHWARZ, BetaParam(beta), m=m, p=1.0)
+            ok &= attained(prob, baseline_bohr_radius(beta, m).root)
     # Bohr-Rogosinski baselines.
     for beta in (0.0, 0.5):
-        member = ClassMember.extremal(beta, order=128)
-        dist = -extremal_at_minus_one(beta)
         for N in (1, 2, 3):
             for m in (1, 2):
                 prob = RadiusProblem(
                     Variant.BOHR_ROGOSINSKI, BetaParam(beta), m=m, p=1.0, N=N
                 )
-                root = solve_radius(prob).root
-                ok &= abs(rogosinski_sum(member, root, N, m, 1.0) - dist) <= 1e-6
-                ok &= rogosinski_sum(member, root + 1e-3, N, m, 1.0) > dist
+                ok &= attained(prob, solve_radius(prob).root)
     _report("4 sharpness attainment at the solved radii", ok)
 
 
@@ -250,17 +245,7 @@ def test_criterion_7_pipeline_identities():
 
 
 def test_criterion_8_monte_carlo_zero_violation():
-    config = VerifyConfig(
-        samples=1000,
-        atoms=8,
-        seed=2026,
-        order=64,
-        slack=1e-9,
-        n_max=20,
-        mu_grid=(-2.0, -1.0, 0.0, 0.5, 1.0, 2.0),
-        radius_offset=1e-3,
-        rogosinski_N=2,
-    )
+    config = VerifyConfig(samples=1000, atoms=8, seed=2026)
     summary = falsification_sweep([0.0, 0.25, 0.5, 0.75], config)
     worst = max((rec.max_violation for rec in summary.records), default=0.0)
     _report(f"8 Monte-Carlo zero-violation (worst margin {worst:.3e})", summary.all_pass)

@@ -216,6 +216,11 @@ class TestVerifyCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: --slack: ") and err.count("\n") == 1
 
+    def test_rejects_zero_samples(self, capsys):
+        # Zero samples would check nothing and still report all_pass.
+        code, out, err = run(capsys, "verify", "--beta", "0.5", "--samples", "0")
+        assert (code, out, err) == (1, "", "error: --samples: must be >= 1, got 0\n")
+
     def test_verify_rejects_beta_one(self, capsys):
         code, _, err = run(capsys, "verify", "--beta", "1", "--samples", "5")
         assert code == 1
@@ -328,7 +333,7 @@ FUZZ_VALUES = {
     "--tol": (["1e-10", "1e-6"], ["1e-17", "1", "x"]),
     "--mu": (["0", "-1,0,1", "0:1:0.25"], ["0:1:1e-12", "1:0:0.5", "0:1", "nan", "x"]),
     "--beta-grid": (["0.5", "0,0.9", "0:0.3:0.1"], ["0.5,1", "0:1:1e-12", "nan", "x"]),
-    "--samples": (["1", "3", "0"], ["-1", "x"]),
+    "--samples": (["1", "3"], ["0", "-1", "x"]),
     "--atoms": (["1", "4"], ["0", "x"]),
     "--seed": (["0", "7"], ["-3", "x"]),
     "--slack": (["1e-9", "0"], ["-1", "nan", "x"]),

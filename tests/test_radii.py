@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ class TestHatF:
         with pytest.raises(ValueError):
             hat_f(2, 0.0, 1.0)
 
+    def test_memory_does_not_grow_with_N(self):
+        # The sum stops where its terms fall below half an ulp of the total.
+        tracemalloc.start()
+        try:
+            hat_f(10**6, 0.0, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestEquations:
     def test_bohr_limit_at_zero(self):
@@ -162,11 +173,12 @@ def oracle_equation(prob, r):
     )
 
 
-AREA_FUNCTIONALS = [
+AREA_POLYNOMIALS = [
     ZERO_POLYNOMIAL,
     AreaPolynomial((0.0, 0.0)),
     AreaPolynomial((0.2, 0.05)),
-    lambda w: 0.1 * w * w,
+    # Test ids stay those of the case when it was a callable F.
+    pytest.param(AreaPolynomial((0.0, 0.1)), id="<lambda>"),
 ]
 
 
@@ -175,7 +187,7 @@ class TestEquationConstants:
 
     RADII = np.linspace(0.01, 0.95, 20).tolist()
 
-    @pytest.mark.parametrize("F", AREA_FUNCTIONALS)
+    @pytest.mark.parametrize("F", AREA_POLYNOMIALS)
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
     def test_equation_equals_scalar_oracle(self, beta, F):
         probs = [
@@ -183,7 +195,7 @@ class TestEquationConstants:
             for m, p in itertools.product((1, 3), (0.5, 2.0))
             for variant, N in [
                 (Variant.BOHR_SCHWARZ, 1),
-                *((Variant.BOHR_ROGOSINSKI, N) for N in (1, 2, 3, 50)),
+                *((Variant.BOHR_ROGOSINSKI, N) for N in (1, 2, 3, 50, 200, 10**4)),
             ]
         ]
         for prob in probs:
@@ -203,7 +215,7 @@ class TestEquationConstants:
         res = solve_radius(prob)
         assert res.iterations > 1 and len(calls) == 1
 
-    @pytest.mark.parametrize("F", AREA_FUNCTIONALS)
+    @pytest.mark.parametrize("F", AREA_POLYNOMIALS)
     def test_area_majorant_only_for_a_nonzero_area_term(self, monkeypatch, F):
         calls = []
 
@@ -214,7 +226,7 @@ class TestEquationConstants:
         monkeypatch.setattr(abeta.radii, "area_majorant", counted)
         for variant in Variant:
             problem(variant, beta=0.4, F=F).equation(0.3)
-        assert len(calls) == (0 if getattr(F, "is_zero", False) else 2)
+        assert len(calls) == (0 if F.is_zero else 2)
 
 
 class TestSolveRadius:
@@ -288,6 +300,8 @@ class TestSolveRadius:
             problem(p=math.inf)  # the CLI would print "p": Infinity, not JSON
         with pytest.raises(ValueError, match="^N: "):
             problem(Variant.BOHR_ROGOSINSKI, N=0)
+        with pytest.raises(TypeError, match="^F: "):
+            problem(F=lambda w: 0.1 * w)
         with pytest.raises(ValueError):
             solve_radius(problem(), tol=0.0)
 
@@ -298,8 +312,8 @@ class TestSolveRadius:
             solve_radius(problem(), tol=tol)
 
     def test_general_monotone_functional(self):
-        # Any caller-supplied monotone map with F(0) = 0 is accepted.
-        F = lambda w: math.expm1(w) * 0.1
+        # A cubic area term: 0.1 * expm1(w) truncated after w^3.
+        F = AreaPolynomial((0.1, 0.05, 0.1 / 6))
         assert monotone_spot_check(F)
         res = solve_radius(problem(beta=0.2, m=1, p=1.0, F=F))
         assert 0 < res.root < solve_radius(problem(beta=0.2, m=1, p=1.0)).root
@@ -308,8 +322,12 @@ class TestSolveRadius:
         assert issubclass(BracketError, RuntimeError)
 
     def test_non_finite_equation_value_raises(self):
+        class NotFinite(RadiusProblem):
+            def equation(self, r):
+                return math.nan
+
         with pytest.raises(BracketError, match="not finite"):
-            solve_radius(problem(F=lambda w: math.nan))
+            solve_radius(NotFinite(Variant.BOHR_SCHWARZ, BetaParam(0.0)))
 
     def test_grid_iterations_and_certificates(self):
         # The acceptance-criterion-3 grid: beta 0-0.9, m 1-3, p 1-2, three F.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abeta.verify
 from abeta.bounds import (
     fekete_szego_bound,
     inverse_log_coeffs,
@@ -14,23 +15,32 @@ from abeta.bounds import (
     log_diff_bounds,
 )
 from abeta.extremal import BetaParam, eval_extremal, extremal_at_minus_one, extremal_coeff
-from abeta.radii import AreaPolynomial, RadiusProblem, Variant, solve_radius
+from abeta.radii import ZERO_POLYNOMIAL, AreaPolynomial, RadiusProblem, Variant, solve_radius
 from abeta.verify import (
     _BLOCK,
+    DEFAULT_ORDER,
+    MU_GRID,
+    N_MAX,
+    RADIUS_OFFSET,
+    ROGOSINSKI_N,
     BoundReport,
     ClassMember,
     HerglotzMeasure,
     VerifyConfig,
-    bohr_sum,
     check_bohr,
     check_coefficient_bounds,
     check_fs_and_log_bounds,
     falsification_sweep,
     measure_to_caratheodory,
-    rogosinski_sum,
     sample_measure,
 )
 from oracles import generator_real_part, identity_member, normalized_area, series_div
+
+
+def bohr_lhs(member, r, F=ZERO_POLYNOMIAL):
+    """The Bohr majorant (m = p = 1) of the member at r."""
+    problem = RadiusProblem(Variant.BOHR_SCHWARZ, member.beta, F=F)
+    return check_bohr(member, problem, r).lhs
 
 
 class TestHerglotzMeasure:
@@ -113,20 +123,9 @@ class TestSums:
         member = identity_member(0.0)
         # No higher coefficients and F = 0: only the leading monomial is left.
         for r in (0.1, 0.3, 0.6):
-            assert bohr_sum(member, r) == pytest.approx(r, abs=1e-12)
-            assert bohr_sum(
-                member, r, F=AreaPolynomial((1.0,))
-            ) == pytest.approx(r + r * r, abs=1e-12)
-
-    def test_damped_below_monomial(self):
-        member = ClassMember.extremal(0.3)
-        for r in (0.1, 0.25, 0.4):
-            damped = bohr_sum(member, r, schwarz_mode="damped")
-            monomial = bohr_sum(member, r, schwarz_mode="monomial")
-            assert damped <= monomial
-            damped_r = rogosinski_sum(member, r, N=2, schwarz_mode="damped")
-            monomial_r = rogosinski_sum(member, r, N=2, schwarz_mode="monomial")
-            assert damped_r <= monomial_r
+            assert bohr_lhs(member, r) == pytest.approx(r, abs=1e-12)
+            F = AreaPolynomial((1.0,))
+            assert bohr_lhs(member, r, F) == pytest.approx(r + r * r, abs=1e-12)
 
     def test_normalized_area_brute_force(self):
         member = ClassMember.extremal(0.0, order=48)
@@ -137,10 +136,6 @@ class TestSums:
         )
         assert normalized_area(member, r) == pytest.approx(brute, abs=1e-14)
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            bohr_sum(identity_member(0.0), 0.3, schwarz_mode="weird")
-
 
 class TestChecks:
     def test_extremal_attains_bohr_radius(self):
@@ -148,7 +143,7 @@ class TestChecks:
         problem = RadiusProblem(Variant.BOHR_SCHWARZ, BetaParam(beta), m=1, p=1.0)
         root = solve_radius(problem).root
         member = ClassMember.extremal(beta, order=96)
-        at_root = bohr_sum(member, root)
+        at_root = bohr_lhs(member, root)
         assert at_root == pytest.approx(-extremal_at_minus_one(beta), abs=1e-6)
         # Just above the radius the sharp member violates the bound.
         beyond = check_bohr(member, problem, root + 1e-3)
@@ -210,9 +205,7 @@ class TestChecks:
 
 class TestSweep:
     def test_small_sweep_passes(self):
-        summary = falsification_sweep(
-            [0.0, 0.5], VerifyConfig(samples=40, atoms=4, seed=7)
-        )
+        summary = falsification_sweep([0.0, 0.5], VerifyConfig(samples=40, seed=7))
         assert summary.all_pass
         assert all(rec.max_violation <= 1e-9 for rec in summary.records)
         tags = {rec.inequality_id for rec in summary.records}
@@ -238,13 +231,13 @@ class TestSweep:
         config = VerifyConfig(samples=5, seed=1)
         summary = falsification_sweep([0.999], config)
         records = {rec.inequality_id: rec for rec in summary.records}
-        for tag, N in (("bohr", 1), ("rogosinski", config.rogosinski_N)):
+        for tag, N in (("bohr", 1), ("rogosinski", ROGOSINSKI_N)):
             rec = records[f"{tag}[beta=0.999,m=1,p=1,N={N}]"]
             assert rec.checks == config.samples
             root = solve_radius(
                 RadiusProblem(Variant(tag), BetaParam(0.999), N=N)
             ).root
-            assert root < config.radius_offset
+            assert root < RADIUS_OFFSET
             assert rec.witness.startswith(f"r={0.5 * root!r}, ")
         assert summary.all_pass
 
@@ -273,7 +266,7 @@ class TestLowerBoundExtremal:
             assert val.real > -1e-12
 
 
-def _oracle_sweep(beta_grid, config):
+def _oracle_sweep(beta_grid, config, order):
     """Scalar reference for falsification_sweep: one member at a time, in
     Python complex arithmetic, merged as the sweep documents (first sample
     attaining each maximum)."""
@@ -288,16 +281,15 @@ def _oracle_sweep(beta_grid, config):
         else:
             prev[2] += 1
 
-    order = config.order
     for gi, beta in enumerate(beta_grid):
         bp = BetaParam(beta)
         radius_checks = []
         for variant, tag, N in (
             (Variant.BOHR_SCHWARZ, "bohr", 1),
-            (Variant.BOHR_ROGOSINSKI, "rogosinski", config.rogosinski_N),
+            (Variant.BOHR_ROGOSINSKI, "rogosinski", ROGOSINSKI_N),
         ):
             root = solve_radius(RadiusProblem(variant, bp, m=1, p=1.0, N=N)).root
-            at = root - min(config.radius_offset, 0.5 * root)
+            at = root - min(RADIUS_OFFSET, 0.5 * root)
             check_id = f"{tag}[beta={beta:g},m=1,p=1,N={N}]"
             radius_checks.append((check_id, tag, N, at))
         for si in range(config.samples):
@@ -305,10 +297,10 @@ def _oracle_sweep(beta_grid, config):
             member = ClassMember.from_measure(sample_measure(config.atoms, seed), bp, order)
             a = [complex(x) for x in member.a]
             witness = f"beta={beta:g}, seed={seed}"
-            for n in range(2, config.n_max + 1):
+            for n in range(2, N_MAX + 1):
                 merge(f"coeff[n={n}]", abs(a[n - 1]), extremal_coeff(n, bp), witness)
             a2, a3 = a[1], a[2]
-            for mu in config.mu_grid:
+            for mu in MU_GRID:
                 merge(
                     f"fekete_szego[mu={mu:g}]",
                     abs(a3 - mu * a2 * a2),
@@ -336,9 +328,9 @@ def _oracle_sweep(beta_grid, config):
     return [(check_id, v, w, n) for check_id, (v, w, n) in worst.items()]
 
 
-def _assert_matches_oracle(beta_grid, config):
+def _assert_matches_oracle(beta_grid, config, order=DEFAULT_ORDER):
     summary = falsification_sweep(beta_grid, config)
-    expected = _oracle_sweep(beta_grid, config)
+    expected = _oracle_sweep(beta_grid, config, order)
     got = [(r.inequality_id, r.max_violation, r.witness, r.checks) for r in summary.records]
     assert [g[0] for g in got] == [e[0] for e in expected]
     assert [g[3] for g in got] == [e[3] for e in expected]
@@ -355,15 +347,15 @@ class TestSweepMatchesScalarOracle:
         _assert_matches_oracle([0.0, 0.5, 0.9], config)
 
     def test_crosses_a_block_boundary(self):
-        config = VerifyConfig(samples=_BLOCK + 1, atoms=4, seed=5)
+        config = VerifyConfig(samples=_BLOCK + 1, seed=5)
         summary = _assert_matches_oracle([0.5], config)
         assert {rec.checks for rec in summary.records} == {_BLOCK + 1}
 
-    def test_low_order_includes_the_coefficient_tail(self):
+    def test_low_order_includes_the_coefficient_tail(self, monkeypatch):
         # At order 20 the certified tail (~1e-13 at the beta = 0 Bohr
         # radius) is far above the 1e-15 agreement asked of the sweep.
-        config = VerifyConfig(samples=30, atoms=4, seed=9, order=20)
-        _assert_matches_oracle([0.0], config)
+        monkeypatch.setattr(abeta.verify, "DEFAULT_ORDER", 20)
+        _assert_matches_oracle([0.0], VerifyConfig(samples=30, seed=9), order=20)
 
 
 class TestWitnesses:
@@ -381,8 +373,8 @@ class TestWitnesses:
         for rec in summary.records:
             seed = int(rec.witness.rsplit("seed=", 1)[1])
             member = ClassMember.from_measure(sample_measure(config.atoms, seed), 0.25)
-            reports = check_coefficient_bounds(member, config.n_max)
-            reports += check_fs_and_log_bounds(member, config.mu_grid)
+            reports = check_coefficient_bounds(member, N_MAX)
+            reports += check_fs_and_log_bounds(member)
             by_id = {r.inequality_id: r for r in reports}
             if rec.inequality_id in by_id:
                 assert -by_id[rec.inequality_id].margin == rec.max_violation
@@ -399,12 +391,13 @@ class TestCertifiedTail:
     def test_bohr_sum_is_not_below_the_untruncated_majorant(self):
         member = ClassMember.extremal(0.0, order=8)
         exact = self.r + self._series_rest()
-        assert exact <= bohr_sum(member, self.r) <= exact + 1e-11
+        assert exact <= bohr_lhs(member, self.r) <= exact + 1e-11
 
     def test_rogosinski_sum_is_not_below_the_untruncated_majorant(self):
         member = ClassMember.extremal(0.0, order=8)
+        problem = RadiusProblem(Variant.BOHR_ROGOSINSKI, member.beta, N=2)
         exact = (self.r + self._series_rest()) + self._series_rest()
-        assert exact <= rogosinski_sum(member, self.r, N=2) <= exact + 1e-11
+        assert exact <= check_bohr(member, problem, self.r).lhs <= exact + 1e-11
 
 
 class TestVerifyConfig:
@@ -415,3 +408,9 @@ class TestVerifyConfig:
 
     def test_zero_slack_is_allowed(self):
         assert VerifyConfig(slack=0.0).slack == 0.0
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_fewer_than_one_sample(self, samples):
+        # Zero samples would check nothing and report all_pass.
+        with pytest.raises(ValueError, match=f"^samples: must be >= 1, got {samples}$"):
+            VerifyConfig(samples=samples)
