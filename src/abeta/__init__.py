@@ -24,7 +24,6 @@ from .radii import (
     baseline_bohr_radius,
     solve_radius,
 )
-from .verify import VerifyConfig, falsification_sweep
 
 __version__ = "0.1.0"
 
@@ -49,3 +48,16 @@ __all__ = [
     "log_diff_bounds",
     "solve_radius",
 ]
+
+# verify needs numpy, which costs more than every other import together;
+# its names are resolved on first use so the radius and bound commands
+# never load it.
+_LAZY = ("VerifyConfig", "falsification_sweep")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .extremal import beta_value
 
 
@@ -65,6 +63,8 @@ def complex_product(z, w):
 
 def complex_modulus(z):
     """|z| for complex scalars or arrays."""
+    import numpy as np  # here, not at the top: no radius or bound command calls this
+
     return np.hypot(z.real, z.imag)
 
 

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .bounds import fekete_szego_bound, inverse_log_diff_bounds, log_diff_bounds
 from .extremal import BetaDomainError, BetaParam, ConvergenceError
@@ -34,7 +34,9 @@ from .radii import (
     Variant,
     solve_radius,
 )
-from .verify import VerifyConfig, falsification_sweep
+
+if TYPE_CHECKING:
+    from .verify import SweepSummary, VerifyConfig
 
 SWEEP_HEADER = ["beta", "m", "p", "N", "variant", "root", "residual", "iterations"]
 
@@ -237,7 +239,17 @@ def _cmd_log_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def falsification_sweep(betas: Sequence[float], config: VerifyConfig) -> SweepSummary:
+    """:func:`abeta.verify.falsification_sweep`, imported on the first call:
+    verify needs numpy, and no other command should pay for loading it."""
+    from .verify import falsification_sweep as sweep
+
+    return sweep(betas, config)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import VerifyConfig
+
     betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else [args.beta]
     for b in betas:
         _beta(b, "--beta-grid" if args.beta_grid else "--beta", strict=True)

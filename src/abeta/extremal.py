@@ -5,18 +5,17 @@ The extremal function is the power series
     f(z) = z + sum_{n>=2} 2/((1-beta)*n + beta) * z^n,
 
 which attains every coefficient and growth bound implemented in this
-package.  All evaluators here certify their truncation error, and the
-boundary value f(-1) is computed by quadrature of a smooth integrand
-rather than by direct (conditionally convergent) summation.
+package.  All evaluators here certify their truncation error and use only
+the standard library.  The boundary value f(-1) is an alternating series:
+its first terms are summed directly and the rest comes from the tail's
+asymptotic expansion.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable
 
 
 class ConvergenceError(RuntimeError):
@@ -60,11 +59,10 @@ def beta_value(beta: "BetaParam | float", strict: bool = False) -> float:
     return b.require_strict() if strict else b.value
 
 
-# Absolute truncation error target of every certified series, the hard cap
-# on a series' length, and the Gauss-Laguerre nodes used for f(-1).
+# Truncation error target of every certified series (eval_extremal scales
+# it by |r|), and the hard cap on a series' length.
 TOLERANCE = 1e-12
 MAX_TERMS = 4_000_000
-QUADRATURE_POINTS = 64
 
 
 def extremal_coeff(n: int, beta: "BetaParam | float") -> float:
@@ -81,79 +79,97 @@ def extremal_coeff(n: int, beta: "BetaParam | float") -> float:
     return 2.0 / ((1.0 - b) * n + b)
 
 
-def _coeff_array(n_max: int, b: float) -> np.ndarray:
-    """Coefficients a_1..a_{n_max} as an array (index k holds a_{k+1})."""
-    n = np.arange(1, n_max + 1, dtype=float)
-    a = 2.0 / ((1.0 - b) * n + b)
-    a[0] = 1.0
-    return a
+def _series_terms(series: str, r: float, estimate: float, tail: Callable[[int], float]) -> int:
+    """Smallest n >= 1 with tail(n) <= TOLERANCE, where tail(n) bounds the
+    series beyond its n-th term and decreases in n.
 
-
-def _series_length(r_abs: float, b: float) -> int:
-    """Smallest doubling length N whose geometric tail bound meets tolerance.
-
-    Tail bound: coeff(N+1) * r^{N+1} / (1 - r), valid because the
-    coefficients are non-increasing in n.
+    The search starts from a closed-form estimate of n, usually within one
+    or two terms of the answer, so the summing loop tests nothing per term.
     """
-    if r_abs == 0.0:
-        return 1
-    n = 16
-    while True:
-        tail = extremal_coeff(n + 1, b) * r_abs ** (n + 1) / (1.0 - r_abs)
-        if tail <= TOLERANCE:
-            return n
-        if n >= MAX_TERMS:
-            raise ConvergenceError(
-                f"tail bound {tail:.3e} above tolerance {TOLERANCE:.3e} "
-                f"after {n} terms (r = {r_abs}, beta = {b})"
-            )
-        n = min(2 * n, MAX_TERMS)
+    n = max(math.ceil(estimate), 1)
+    while n <= MAX_TERMS and tail(n) > TOLERANCE:
+        n += 1
+    if n > MAX_TERMS:
+        raise ConvergenceError(
+            f"{series} at r = {r}: tail bound above tolerance {TOLERANCE:.3e} "
+            f"within the cap of {MAX_TERMS} terms"
+        )
+    while n > 1 and tail(n - 1) <= TOLERANCE:
+        n -= 1
+    return n
 
 
 def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     """Value of the extremal function at real r, |r| < 1.
 
-    The series is truncated where the certified geometric tail bound
-    drops below TOLERANCE.
+    The series stops at the first n whose geometric tail bound
+    a_{n+1} |r|^{n+1} / (1 - |r|) meets TOLERANCE * |r|; the bound holds
+    because the coefficients are non-increasing in n.  The error is thus
+    small next to f(r) ~ r as well: the radius equations raise f(r^m) to
+    powers p < 1, which would magnify a merely absolute error at tiny r^m.
     """
     if not abs(r) < 1.0:
         raise ValueError(f"|r| must be < 1, got {r}")
     b = beta_value(beta)
-    n_max = _series_length(abs(r), b)
-    a = _coeff_array(n_max, b)
-    n = np.arange(1, n_max + 1, dtype=float)
-    # Powers computed in log space to stay stable for very long series.
-    if r > 0:
-        powers = np.exp(n * math.log(r))
-    elif r < 0:
-        powers = np.exp(n * math.log(-r))
-        powers[::2] *= -1.0  # odd powers of a negative base
-    else:
+    q = abs(r)
+    if q == 0.0:
         return 0.0
-    return float(np.dot(a, powers))
+    s = 1.0 - b
+    # a_{n+1} q^n = 2 q^n / (s (n+1) + b) meets TOLERANCE (1 - q) near
+    # n log(1/q) + log(s n + b) = a; one fixed-point step from n = a / log(1/q).
+    log_inv_q = -math.log(q)
+    a = math.log(2.0 / (TOLERANCE * (1.0 - q)))
+    n_max = _series_terms(
+        "extremal series",
+        r,
+        (a - math.log(s * a / log_inv_q + b)) / log_inv_q,
+        lambda n: 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q),
+    )
+    # term n is 2 r^n / d with d = s n + b, stepped from d = 1 at n = 1.
+    total, power, d = 0.0, r, 1.0
+    for _ in range(n_max - 1):
+        power *= r
+        d += s
+        total += power / d
+    return r + 2.0 * total
+
+
+# Coefficients (2^{2k} - 1) B_{2k} / (2k), k = 1..8, of the asymptotic expansion
+#     sum_{j>=0} (-1)^j / (x + j) ~ t/2 + sum_{k>=1} (2^{2k} - 1) B_{2k} / (2k) t^{2k},
+# t = 1/x and B_{2k} the Bernoulli numbers; all are exact in binary.  The first
+# omitted coefficient, of t^18, is 3202291/4.
+_ALTERNATING_TAIL = (1 / 4, -1 / 8, 1 / 4, -17 / 16, 31 / 4, -691 / 8, 5461 / 4, -929569 / 32)
+_OMITTED_TAIL_COEFF = 3202291 / 4
 
 
 def extremal_at_minus_one(beta: "BetaParam | float") -> float:
     """Boundary value f(-1) of the extremal function, for beta < 1.
 
-    Computed as the negative of the integral
+    With s = 1 - beta and c = beta/s, the conditionally convergent series
 
-        int_0^1 (1 - t^(1-beta)) / (1 + t^(1-beta)) dt.
+        f(-1) = -1 + (2/s) * sum_{n>=2} (-1)^n / (n + c)
 
-    The substitution t = exp(-y/(1-beta)) turns this into
-    int_0^inf tanh(y/2 * (1-beta)) e^{-y} dy, a smooth exponentially
-    weighted integrand handled by Gauss-Laguerre quadrature uniformly
-    well over beta in [0, 1).
+    is summed directly for n = 2..K+1 (K even, adjacent terms paired), and
+    its tail sum_{j>=0} (-1)^j / (x + j), x = K + 2 + c, comes from the
+    asymptotic expansion above.  K is the smallest even count for which the
+    first omitted term, (2/s) * 3202291/4 * x^-18, is below 1e-17: at most
+    18 terms, and none once c = beta/s exceeds about 20 (beta >= 0.96).
     """
     b = beta_value(beta, strict=True)
-    y, w = _laguerre_nodes()
-    integral = float(np.dot(w, np.tanh(0.5 * (1.0 - b) * y)))
-    return -integral
-
-
-@functools.cache
-def _laguerre_nodes() -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.laguerre.laggauss(QUADRATURE_POINTS)
+    s = 1.0 - b
+    c = b / s
+    x_min = (2.0 / s * _OMITTED_TAIL_COEFF / 1e-17) ** (1.0 / 18.0)
+    k = max(2 * math.ceil(0.5 * (x_min - 2.0 - c)), 0)
+    # 1/(n+c) - 1/(n+1+c) = 1/((n+c)(n+1+c)), a positive term.
+    head = 0.0
+    for n in range(2, k + 2, 2):
+        head += 1.0 / ((n + c) * (n + 1 + c))
+    t = 1.0 / (k + 2 + c)
+    u = t * t
+    tail = 0.0
+    for coeff in reversed(_ALTERNATING_TAIL):
+        tail = (tail + coeff) * u
+    return -1.0 + 2.0 / s * (head + 0.5 * t + tail)
 
 
 def area_majorant(r: float, beta: "BetaParam | float") -> float:
@@ -169,27 +185,32 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     x = r * r
     if x == 0.0:
         return 0.0
+    s = 1.0 - b
 
-    def term(n: float) -> float:
-        return 4.0 * n / ((1.0 - b) * n + b) ** 2 * x ** n
+    def tail(n: int) -> float:
+        # Ratio test: t_{k+1}/t_k <= x * (n+2)/(n+1) < q for every k > n.
+        q = x * (n + 1) / n
+        if q >= 1.0:
+            return math.inf
+        return 4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q)
 
-    # Ratio test: t_{n+1}/t_n <= x * (n+1)/n for all beta in [0, 1].
-    n_max = 16
-    while True:
-        q = x * (n_max + 1) / n_max
-        if q < 1.0:
-            tail = term(n_max + 1.0) / (1.0 - q)
-            if tail <= TOLERANCE:
-                break
-        if n_max >= MAX_TERMS:
-            raise ConvergenceError(
-                f"area series tail above tolerance after {n_max} terms (r = {r})"
-            )
-        n_max = min(2 * n_max, MAX_TERMS)
-    n = np.arange(2, n_max + 1, dtype=float)
-    body = 4.0 * n / ((1.0 - b) * n + b) ** 2
-    powers = np.exp(n * math.log(x))
-    return float(x + np.dot(body, powers))
+    # t_k = 4 k x^k / (s k + b)^2 meets TOLERANCE (1 - x) where
+    # k log(1/x) = a + log(k / (s k + b)^2); one fixed-point step from
+    # k = a / log(1/x).
+    log_inv_x = -math.log(x)
+    a = math.log(4.0 / (TOLERANCE * (1.0 - x)))
+    k = a / log_inv_x
+    n_max = _series_terms(
+        "area series", r, (a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0, tail
+    )
+    # term n is 4 n x^n / d^2 with d = s n + b, stepped from d = 1 at n = 1.
+    total, power, n, d = 0.0, x, 1.0, 1.0
+    for _ in range(n_max - 1):
+        power *= x
+        n += 1.0
+        d += s
+        total += n * power / (d * d)
+    return x + 4.0 * total
 
 
 def growth_envelope(r: float, beta: "BetaParam | float") -> tuple[float, float]:

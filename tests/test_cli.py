@@ -264,6 +264,62 @@ class TestSweepCommand:
         assert content.startswith("beta,m,p,N,variant,root,residual,iterations")
 
 
+QUERY_COMMANDS_WITHOUT_NUMPY = """
+import contextlib, io, sys
+from abeta import cli
+for argv in (
+    ["radius", "--beta", "0.3"],
+    ["rogosinski", "--beta", "0.3", "--N", "50"],
+    ["fs-bound", "--beta", "0.3", "--mu=-1,0,1"],
+    ["log-bounds", "--beta", "0.3"],
+    ["sweep", "--beta-grid", "0,0.5", "--variant", "both"],
+    ["radius", "--beta", "0.3", "--poly", "0.3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "a query command imported numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--beta", "0.3", "--samples", "4"]) == 0
+"""
+
+
+class TestNumpyOffTheQueryPath:
+    def test_only_verify_imports_numpy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(abeta.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", QUERY_COMMANDS_WITHOUT_NUMPY],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_package_still_exports_verify_names(self):
+        from abeta import VerifyConfig, falsification_sweep
+        from abeta import verify
+
+        assert (VerifyConfig, falsification_sweep) == (
+            verify.VerifyConfig, verify.falsification_sweep
+        )
+        assert abeta.__all__ == [
+            "AreaPolynomial", "BetaDomainError", "BetaParam", "ConvergenceError",
+            "RadiusProblem", "Variant", "VerifyConfig", "area_majorant",
+            "baseline_bohr_radius", "eval_extremal", "extremal_at_minus_one",
+            "extremal_coeff", "falsification_sweep", "fekete_szego_bound",
+            "growth_envelope", "inverse_log_diff_bounds", "log_coeffs",
+            "log_diff_bounds", "solve_radius",
+        ]
+        with pytest.raises(AttributeError):
+            abeta.no_such_name
+
+    def test_verify_calls_the_sweep_through_the_cli_module(self, monkeypatch):
+        # Tracing replaces cli.falsification_sweep; the command must find
+        # the replacement.
+        calls = []
+        sweep = cli.falsification_sweep
+        monkeypatch.setattr(cli, "falsification_sweep", lambda *a: calls.append(a) or sweep(*a))
+        code, _, _ = run_quiet(["verify", "--beta", "0.3", "--samples", "2"])
+        assert code == 0 and len(calls) == 1
+
+
 def run_quiet(argv):
     """main(argv) with its output captured: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

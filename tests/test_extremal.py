@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abeta.extremal import (
+    TOLERANCE,
     BetaDomainError,
     BetaParam,
     ConvergenceError,
@@ -157,6 +158,55 @@ class TestAreaMajorant:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             area_majorant(-0.1, 0.0)
+
+
+class TestAccuracyOracles:
+    """Each evaluator against a 50-digit mpmath reference of the same quantity."""
+
+    RADII = (0.05, -0.05, 0.28, -0.28, 0.5, -0.5, 0.9, -0.9, 0.99)
+
+    @pytest.mark.parametrize(
+        "beta", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999]
+    )
+    def test_boundary_value(self, beta):
+        # f(-1) = -1 + (2/s) sum_{n>=2} (-1)^n / (n + beta/s), s = 1 - beta.
+        with mpmath.workdps(50):
+            s = 1 - mpmath.mpf(beta)
+            c = mpmath.mpf(beta) / s
+            series = mpmath.nsum(lambda n: (-1) ** n / (n + c), [2, mpmath.inf])
+            expected = -1 + 2 / s * series
+            assert abs(extremal_at_minus_one(beta) - expected) < 2e-15
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("r", RADII)
+    def test_extremal_value(self, beta, r):
+        with mpmath.workdps(50):
+            b = mpmath.mpf(beta)
+            expected = r * (-1 + 2 * mpmath.hyp2f1(1, 1 / (1 - b), (2 - b) / (1 - b), r))
+            assert abs(eval_extremal(r, beta) - expected) <= TOLERANCE + 1e-15
+
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
+    @pytest.mark.parametrize("r", [r for r in RADII if r >= 0])
+    def test_area_majorant(self, beta, r):
+        # Summed until a term is below 1e-40; the terms then decrease at
+        # least geometrically, so the rest is far below the tolerance.
+        with mpmath.workdps(50):
+            b, x = mpmath.mpf(beta), mpmath.mpf(r) ** 2
+            expected, n, term = x, 2, 1
+            while term > 1e-40:
+                term = 4 * n / ((1 - b) * n + b) ** 2 * x**n
+                expected += term
+                n += 1
+            assert abs(area_majorant(r, beta) - expected) <= TOLERANCE + 1e-15
+
+    def test_error_is_small_next_to_tiny_values(self):
+        # f(r^m)^p with p < 1 magnifies the error of f at tiny arguments, so
+        # the tail is held below TOLERANCE * |r|, not TOLERANCE alone.
+        for r in (1.4e-7, -1.4e-7, 1e-3):
+            with mpmath.workdps(50):
+                b = mpmath.mpf(0.3)
+                expected = r * (-1 + 2 * mpmath.hyp2f1(1, 1 / (1 - b), (2 - b) / (1 - b), r))
+                assert abs(eval_extremal(r, 0.3) - expected) <= TOLERANCE * abs(r) + 1e-22
 
 
 class TestGrowthEnvelope:
