@@ -178,6 +178,14 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     Returns r^2 + sum_{n>=2} 4n/((1-beta)n + beta)^2 * r^{2n} with
     certified absolute truncation error <= TOLERANCE.  Permits
     beta = 1 (the terms 4n r^{2n} still converge for r < 1).
+
+    The certificate covers truncation only.  The rounding error of the
+    sum grows like n * eps times its value, and near beta, r -> 1 the
+    series is thousands of terms long: at r = 0.99, beta = 1 the result
+    is 3.9e-11 off the exact value 4x/(1-x)^2 - 3x, x = r^2.  At
+    beta, r <= 0.95, where most radii lie, the total error stays within
+    TOLERANCE + 1e-15 (against a 50-digit sum, up to 9.97e-13 at the
+    corner).
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")

@@ -2,9 +2,12 @@
 
 Both radius equations are strictly increasing on (0, 1), negative at 0+
 and positive near 1, so each has a unique root.  The solver keeps a
-sign-change bracket at all times (the ITP method of Oliveira and
-Takahashi, ACM TOMS 47(1), 2020, which never needs more than one step
-beyond bisection) and reports the final bracket and residual.
+sign-change bracket at all times and reports the final bracket and
+residual.  It steps by inverse quadratic interpolation where Chandrupatla's
+test accepts it (Adv. Eng. Software 28(3), 1997) and bisects otherwise,
+and it forces a bisection after SAFEGUARD_STEPS - 1 steps that did not
+halve the bracket: at most SAFEGUARD_STEPS * ceil(log2(width / tol))
+evaluations after bracketing, against about 10 on the radius equations.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ _MIN_TOL = 1e-15
 # beta = 0.99 with m = p = 1); a tol as wide as the first bracket would
 # return that bracket's midpoint, which is no root at all.
 _MAX_TOL = 1e-3
+
+# Interpolation steps allowed in a row without halving the bracket; the
+# next one is a bisection.
+SAFEGUARD_STEPS = 4
 
 
 class BracketError(RuntimeError):
@@ -192,8 +199,9 @@ def equation_rogosinski(problem: RadiusProblem, r: float) -> float:
 def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult:
     """Unique root of the problem's equation in (0, 1), bracketed to tol.
 
-    The initial bracket starts at lo = tol and expands hi toward 1 until
-    a sign change appears; the equation diverges to +inf as r -> 1, so
+    The initial bracket starts at lo = tol and moves hi from 0.5 halfway
+    to 1 until a sign change appears, keeping each negative hi as the new
+    lo; the equation diverges to +inf as r -> 1, so
     failure to bracket below the cap indicates an evaluation bug, as does
     any non-finite equation value.
     """
@@ -226,27 +234,34 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
             raise BracketError(
                 f"no sign change found below {_UPPER_CAP}; equation stuck at {fhi}"
             )
+        if fhi < 0.0:
+            lo, flo = hi, fhi
         hi = min(1.0 - 0.5 * (1.0 - hi), _UPPER_CAP)
         fhi = value(hi)
 
-    # ITP: a regula falsi step, truncated toward the midpoint and projected
-    # into a ball around it whose radius shrinks so that no run takes more
-    # than one step beyond bisection (kappa1 = 0.2 / width, kappa2 = 2,
-    # n0 = 1).  Keeping each step tol/4 inside the bracket only moves it
-    # toward the midpoint, so the bound still holds.
+    # Chandrupatla's hybrid (Adv. Eng. Software 28(3), 1997): a is the
+    # latest point, b the other end of the bracket and c the point a or b
+    # replaced.  Each step goes a fraction t of the way from a to b: the
+    # secant through a and b first, then the inverse quadratic through a, b
+    # and c where his test finds it monotone, else t = 1/2.  Clamping t to
+    # [tl, 1 - tl] keeps each step tol/2 inside the bracket, so once a is
+    # within tol/2 of the root the next step crosses it and the bracket
+    # closes.  A bisection step is forced after SAFEGUARD_STEPS - 1 steps
+    # that have not halved the bracket, so a run takes at most
+    # SAFEGUARD_STEPS * ceil(log2(width / tol)) steps after bracketing.
     inset = 0.25 * tol
-    kappa1 = 0.2 / (hi - lo)
-    steps_left = math.ceil(math.log2(max((hi - lo) / tol, 1.0))) + 1
-    while hi - lo > tol:
-        steps_left -= 1
-        mid = 0.5 * (lo + hi)
-        radius = tol * 2.0**steps_left - 0.5 * (hi - lo)
-        delta = kappa1 * (hi - lo) ** 2
-        x_f = lo - flo * (hi - lo) / (fhi - flo)
-        sigma = math.copysign(1.0, mid - x_f)
-        x = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        if abs(x - mid) > radius:
-            x = mid - sigma * radius
+    a, fa, b, fb = hi, fhi, lo, flo
+    t = fa / (fa - fb)
+    halved_at, stalled = hi - lo, 0
+    while True:
+        lo, hi = min(a, b), max(a, b)
+        if hi - lo <= tol:
+            break
+        if t == 0.5:
+            x = 0.5 * (lo + hi)
+        else:
+            tl = 0.5 * tol / (hi - lo)
+            x = a + min(max(t, tl), 1.0 - tl) * (b - a)
         x = min(max(x, lo + inset), hi - inset)
         fx = value(x)
         if fx == 0.0:
@@ -258,10 +273,25 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
                     f"values {flo} and {fhi}"
                 )
             break
-        if fx < 0.0:
-            lo, flo = x, fx
+        if (fx < 0.0) == (fa < 0.0):
+            c, fc = a, fa
         else:
-            hi, fhi = x, fx
+            c, fc = b, fb
+            b, fb = a, fa
+        a, fa = x, fx
+        if abs(b - a) <= 0.5 * halved_at:
+            halved_at, stalled = abs(b - a), 0
+        else:
+            stalled += 1
+        # fc has the sign of fa, so every denominator below is nonzero
+        # once the test passes (it fails for fc == fa).
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        t = 0.5
+        if stalled < SAFEGUARD_STEPS - 1 and phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) + (
+                (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+            )
 
     iterations = evaluations
     root = 0.5 * (lo + hi)

@@ -1,11 +1,20 @@
+import contextlib
+import importlib.util
+import io
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import abeta.radii
+from abeta import cli
 from abeta.extremal import (
     BetaDomainError,
     BetaParam,
@@ -15,6 +24,7 @@ from abeta.extremal import (
     extremal_coeff,
 )
 from abeta.radii import (
+    SAFEGUARD_STEPS,
     AreaPolynomial,
     BracketError,
     RadiusProblem,
@@ -372,3 +382,93 @@ class TestSolveRadius:
         lo, hi = res.bracket
         assert seen[lo] < 0 < seen[hi]
         assert lo < res.root < hi and hi - lo <= tol
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_iterations_count_equation_calls_before_the_residual(self, variant):
+        calls = []
+
+        class Counted(RadiusProblem):
+            def equation(self, r):
+                calls.append(r)
+                return super().equation(r)
+
+        prob = Counted(variant, BetaParam(0.4), m=2, p=1.5, N=3, F=AreaPolynomial((0.2,)))
+        res = solve_radius(prob)
+        assert res.iterations == len(calls) - 1
+        assert calls[-1] == res.root
+
+
+# Each runs in a fresh interpreter under a timeout, so a solver that stalls
+# on it fails the test instead of hanging the suite.
+ADVERSARIAL_EQUATIONS = {
+    "flat-power": "r ** 0.02 - 0.3 ** 0.02",
+    "triple-root": "(r - 0.3) ** 3",
+    "step": "tanh(1e7 * (r - 0.3123))",
+    "kink": "r - 0.25 if r < 0.25 else 1e6 * (r - 0.25)",
+    "exponential": "expm1(60 * (r - 0.41))",
+    "root-near-one": "-log1p(-r) - 6.9",
+}
+
+ADVERSARIAL_SOLVE = """
+import json, math, sys
+from abeta.extremal import BetaParam
+from abeta.radii import RadiusProblem, Variant, solve_radius
+
+fn = eval("lambda r: " + sys.argv[1], vars(math))
+
+class Adversarial(RadiusProblem):
+    def equation(self, r):
+        return fn(r)
+
+res = solve_radius(Adversarial(Variant.BOHR_SCHWARZ, BetaParam(0.0)), float(sys.argv[2]))
+print(json.dumps({"bracket": res.bracket, "root": res.root, "iterations": res.iterations}))
+"""
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14])
+@pytest.mark.parametrize("name", list(ADVERSARIAL_EQUATIONS))
+def test_adversarial_equation_within_the_worst_case(name, tol):
+    expr = ADVERSARIAL_EQUATIONS[name]
+    env = dict(os.environ, PYTHONPATH=str(Path(abeta.radii.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", ADVERSARIAL_SOLVE, expr, repr(tol)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    res = json.loads(done.stdout)
+    fn = eval("lambda r: " + expr, vars(math))
+    # The documented start: lo = tol, hi = 0.5 moved halfway to 1, each
+    # negative hi becoming lo, until the equation is positive at hi.
+    lo, hi, probes = tol, 0.5, 2
+    assert fn(lo) < 0
+    while fn(hi) <= 0:
+        lo = hi if fn(hi) < 0 else lo
+        hi, probes = 1.0 - 0.5 * (1.0 - hi), probes + 1
+    worst = SAFEGUARD_STEPS * math.ceil(math.log2((hi - lo) / tol))
+    assert res["iterations"] - probes <= worst
+    lo, hi = res["bracket"]
+    assert lo < res["root"] < hi and hi - lo <= tol
+    assert fn(lo) < 0 < fn(hi)
+
+
+def test_query_mix_evaluation_budget(monkeypatch):
+    # The radius and rogosinski commands of the benchmark's query mix,
+    # seed 1: the equations users pose, from tiny roots with p m < 1 to
+    # roots near 1.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    iterations = []
+    for argv in workloads.query_mix(1):
+        if argv[0] not in ("radius", "rogosinski"):
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        iterations.append(json.loads(out.getvalue())["iterations"])
+    assert len(iterations) == 1600
+    assert max(iterations) <= 20
+    assert np.percentile(iterations, 99) <= 14
+    assert np.median(iterations) <= 10
