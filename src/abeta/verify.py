@@ -17,8 +17,9 @@ members.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +46,11 @@ N_MAX = 20
 MU_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 RADIUS_OFFSET = 1e-3
 ROGOSINSKI_N = 2
+
+# Most atoms a sampled measure may have: each sample's Herglotz product
+# builds DEFAULT_ORDER x atoms complex values (16 bytes each), about 10 MB at
+# this bound, and far more atoms would fail in numpy's allocator instead.
+MAX_ATOMS = 10_000
 
 # Samples the sweep checks together: enough that numpy's per-call overhead
 # is small next to drawing the samples, few enough that the (block x order)
@@ -83,18 +89,111 @@ class HerglotzMeasure:
 
 
 def sample_measure(num_atoms: int, seed: int) -> HerglotzMeasure:
-    """Deterministic random measure: simplex-uniform weights, uniform angles."""
+    """Deterministic random measure: simplex-uniform weights, uniform angles.
+
+    The draws are those of ``rng = np.random.default_rng(seed)``, bit for
+    bit: ``rng.dirichlet(np.ones(num_atoms))``, then
+    ``rng.uniform(0, 2 pi, num_atoms)``.
+    """
     if num_atoms < 1:
         raise ValueError(f"num_atoms must be >= 1, got {num_atoms}")
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(num_atoms))
-    angles = rng.uniform(0.0, TWO_PI, size=num_atoms)
+    seed = operator.index(seed)  # numpy integers too, as default_rng takes them
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    weights, angles = _sample_rows(num_atoms, [seed])
     # Valid by construction (weights on the simplex, angles in [0, 2pi), on
     # which % 2pi is the identity), so __post_init__ is not run again.
     mu = object.__new__(HerglotzMeasure)
-    object.__setattr__(mu, "weights", weights)
-    object.__setattr__(mu, "angles", angles)
+    object.__setattr__(mu, "weights", weights[0])
+    object.__setattr__(mu, "angles", angles[0])
     return mu
+
+
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's hash constants, step by step: (before, after) the
+    multiply.  They depend on the step alone, not on the entropy."""
+    while True:
+        after = init * mult & _MASK32
+        yield init, after
+        init = after
+
+
+def _hashmix(value: np.ndarray, constants: Iterator[tuple[int, int]], steps: int) -> np.ndarray:
+    """SeedSequence's hashmix of `value` at each of the next `steps` hash
+    steps: row k of the result is hashed with the constants of step k."""
+    before, after = np.array([next(constants) for _ in range(steps)], dtype=np.uint32).T
+    value = (value ^ before[:, None]) * after[:, None]
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
+    """(state, inc) of ``np.random.PCG64(seed)`` for each seed.
+
+    Runs SeedSequence's pool mixing and ``generate_state(4, uint64)`` on all
+    seeds at once, on (words x seeds) uint32 arrays.  Seeds below 2**128
+    hash each missing entropy word as numpy does, like a zero word; the
+    extra words of longer seeds are mixed in only on their own columns.
+    """
+    words = max(_POOL_SIZE, -(-max(seeds).bit_length() // 32))
+    entropy = b"".join(s.to_bytes(4 * words, "little") for s in seeds)
+    entropy = np.frombuffer(entropy, dtype="<u4").reshape(len(seeds), words).T
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = _hashmix(entropy[:_POOL_SIZE], constants, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        # The other pool words, in order, each mixed with pool[src] hashed
+        # at its own step; pool[src] itself does not change meanwhile.
+        dst = [k for k in range(_POOL_SIZE) if k != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, _POOL_SIZE - 1))
+    for extra in range(_POOL_SIZE, words):
+        has_word = entropy[extra:].any(axis=0)  # seeds with a word `extra`
+        mixed = _mix(pool, _hashmix(entropy[extra], constants, _POOL_SIZE))
+        pool = np.where(has_word, mixed, pool)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B), 8)
+    # generate_state(4, uint64) joins the word pairs little-endian; PCG64
+    # seeds with initstate = (v0, v1) and initseq = (v2, v3), high first.
+    out = out.astype(np.uint64)
+    states = []
+    for v0, v1, v2, v3 in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
+        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+        states.append((((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _sample_rows(atoms: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and angles (rows x atoms) of the measures of `seeds`.
+
+    One generator is set to each seed's PCG64 state in turn.  With all-ones
+    alpha, ``dirichlet`` draws standard_gamma(1), which is the standard
+    exponential, and multiplies by 1 / (their sum from the left);
+    ``uniform(0, 2 pi)`` is 2 pi times ``random``.
+    """
+    generator = np.random.Generator(np.random.PCG64(0))
+    exponentials = np.empty((len(seeds), atoms))
+    uniforms = np.empty((len(seeds), atoms))
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for row, (s, inc) in enumerate(_pcg64_states(seeds)):
+        state["state"] = {"state": s, "inc": inc}
+        generator.bit_generator.state = state
+        generator.standard_exponential(out=exponentials[row])
+        generator.random(out=uniforms[row])
+    # cumsum adds strictly from the left, as dirichlet's loop does.
+    total = np.cumsum(exponentials, axis=1)[:, -1:]
+    return exponentials * (1.0 / total), TWO_PI * uniforms
 
 
 def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -102,16 +201,32 @@ def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> 
     n = 1..order."""
     c = np.empty(order + 1, dtype=complex)
     c[0] = 1.0
-    c[1:] = _herglotz_coefficients(mu, np.arange(1, order + 1))
+    c[1:] = _herglotz_coefficients(mu.weights[None], mu.angles[None], order)[0]
     return c
 
 
-def _herglotz_coefficients(mu: HerglotzMeasure, n: np.ndarray) -> np.ndarray:
-    # The sweep calls this once per sample as well, rather than summing the
-    # atoms one at a time over a block of samples: that order rounds
-    # differently from this product and moved recorded max_violation values
-    # by an ulp (1.8e-15 at magnitude 8).
-    return 2.0 * np.exp(1j * np.outer(n, mu.angles)) @ mu.weights
+# Complex entries of the (rows x order x atoms) exponentials built at once:
+# a 64-sample block of the default sweep (order 64, 4 atoms) in one piece,
+# and bounded for large atom counts.
+_PRODUCT_ENTRIES = 1 << 14
+
+
+def _herglotz_coefficients(weights: np.ndarray, angles: np.ndarray, order: int) -> np.ndarray:
+    """c_1..c_order of each row of weights and angles (rows x atoms).
+
+    Each row is its own matrix-vector product, so a row's coefficients do
+    not depend on the rows beside it or on how many rows are computed
+    together: the sweep's blocks and a one-measure call give the same bits.
+    """
+    rows, atoms = weights.shape
+    n = np.arange(1, order + 1, dtype=float)[:, None]
+    step = max(1, _PRODUCT_ENTRIES // (order * atoms))
+    c = np.empty((rows, order), dtype=complex)
+    for start in range(0, rows, step):
+        w, t = weights[start : start + step], angles[start : start + step]
+        product = np.exp(1j * (n * t[:, None, :])) @ w[..., None]
+        c[start : start + step] = 2.0 * product[..., 0]
+    return c
 
 
 def caratheodory_to_member(c: np.ndarray, beta: "BetaParam | float") -> np.ndarray:
@@ -354,6 +469,8 @@ class VerifyConfig:
             raise ValueError(f"samples: must be >= 1, got {self.samples}")
         if self.atoms < 1:
             raise ValueError(f"atoms: must be >= 1, got {self.atoms}")
+        if self.atoms > MAX_ATOMS:
+            raise ValueError(f"atoms: must be <= {MAX_ATOMS}, got {self.atoms}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         # A nan slack passes nothing and an infinite one everything.
@@ -383,11 +500,9 @@ class SweepSummary:
 
 def _caratheodory_rows(atoms: int, seeds: range, order: int) -> np.ndarray:
     """Rows c_0..c_order of the sampled measures, one row per seed."""
-    harmonics = np.arange(1, order + 1)
     c = np.empty((len(seeds), order + 1), dtype=complex)
     c[:, 0] = 1.0
-    for row, seed in enumerate(seeds):
-        c[row, 1:] = _herglotz_coefficients(sample_measure(atoms, seed), harmonics)
+    c[:, 1:] = _herglotz_coefficients(*_sample_rows(atoms, seeds), order)
     return c
 
 

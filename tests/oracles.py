@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from abeta.extremal import BetaParam, beta_value, extremal_coeff
-from abeta.verify import DEFAULT_ORDER, ClassMember, _normalized_area_rows
+from abeta.verify import DEFAULT_ORDER, TWO_PI, ClassMember, HerglotzMeasure, _normalized_area_rows
 
 
 # -- Caratheodory functional bounds behind the closed forms of abeta.bounds --
@@ -131,6 +131,23 @@ def monotone_spot_check(F: Callable[[float], float], grid_points: int = 32) -> b
     ws = [4.0 * k / (grid_points - 1) for k in range(grid_points)]
     vals = [F(w) for w in ws]
     return all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+
+
+# -- Seeded Herglotz measures --
+
+
+def reference_sample_measure(num_atoms: int, seed: int) -> HerglotzMeasure:
+    """The measure of ``seed`` drawn through numpy's own generator, which
+    abeta.verify.sample_measure and the sweep's block sampler reproduce."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(num_atoms))
+    angles = rng.uniform(0.0, TWO_PI, size=num_atoms)
+    return HerglotzMeasure(weights, angles)
+
+
+def reference_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """c_1..c_order of one measure as a single matrix-vector product."""
+    return 2.0 * np.exp(1j * np.outer(np.arange(1, order + 1), mu.angles)) @ mu.weights
 
 
 # -- Truncated power series (coefficient arrays c_0..c_N) and members --

@@ -221,6 +221,20 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--beta", "0.5", "--samples", "0")
         assert (code, out, err) == (1, "", "error: --samples: must be >= 1, got 0\n")
 
+    def test_rejects_too_many_atoms_before_sampling(self, capsys, monkeypatch):
+        # 10^13 atoms once failed in numpy's allocator with a traceback.
+        from abeta.verify import MAX_ATOMS
+
+        def sweep(*_):
+            raise AssertionError("sampled with an invalid atom count")
+
+        monkeypatch.setattr(cli, "falsification_sweep", sweep)
+        code, out, err = run(
+            capsys, "verify", "--beta", "0.5", "--samples", "1", "--atoms", "10000000000000"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: --atoms: must be <= {MAX_ATOMS}, got 10000000000000\n"
+
     def test_verify_rejects_beta_one(self, capsys):
         code, _, err = run(capsys, "verify", "--beta", "1", "--samples", "5")
         assert code == 1
@@ -390,7 +404,7 @@ FUZZ_VALUES = {
     "--mu": (["0", "-1,0,1", "0:1:0.25"], ["0:1:1e-12", "1:0:0.5", "0:1", "nan", "x"]),
     "--beta-grid": (["0.5", "0,0.9", "0:0.3:0.1"], ["0.5,1", "0:1:1e-12", "nan", "x"]),
     "--samples": (["1", "3"], ["0", "-1", "x"]),
-    "--atoms": (["1", "4"], ["0", "x"]),
+    "--atoms": (["1", "4"], ["0", "10000000000000", "x"]),
     "--seed": (["0", "7"], ["-3", "x"]),
     "--slack": (["1e-9", "0"], ["-1", "nan", "x"]),
     "--variant": (["bohr", "rogosinski", "both"], ["all"]),

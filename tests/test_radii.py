@@ -350,12 +350,14 @@ class TestSolveRadius:
                 res = solve_radius(prob, tol)
                 iterations.append(res.iterations)
                 # The documented start: lo = tol, hi = 0.5 moved halfway to
-                # 1 until the equation is positive there.
-                assert prob.equation(tol) < 0
-                hi, probes = 0.5, 2
+                # 1, each negative hi becoming lo, until the equation is
+                # positive at hi.
+                lo, hi, probes = tol, 0.5, 2
+                assert prob.equation(lo) < 0
                 while prob.equation(hi) <= 0:
+                    lo = hi if prob.equation(hi) < 0 else lo
                     hi, probes = 1.0 - 0.5 * (1.0 - hi), probes + 1
-                bisection_steps = math.ceil(math.log2((hi - tol) / tol))
+                bisection_steps = math.ceil(math.log2((hi - lo) / tol))
                 assert res.iterations - probes <= bisection_steps + 1
                 lo, hi = res.bracket
                 assert lo < res.root < hi and hi - lo <= tol

@@ -27,6 +27,9 @@ from abeta.verify import (
     ClassMember,
     HerglotzMeasure,
     VerifyConfig,
+    _herglotz_coefficients,
+    _pcg64_states,
+    _sample_rows,
     check_bohr,
     check_coefficient_bounds,
     check_fs_and_log_bounds,
@@ -34,7 +37,14 @@ from abeta.verify import (
     measure_to_caratheodory,
     sample_measure,
 )
-from oracles import generator_real_part, identity_member, normalized_area, series_div
+from oracles import (
+    generator_real_part,
+    identity_member,
+    normalized_area,
+    reference_caratheodory,
+    reference_sample_measure,
+    series_div,
+)
 
 
 def bohr_lhs(member, r, F=ZERO_POLYNOMIAL):
@@ -63,6 +73,14 @@ class TestHerglotzMeasure:
             HerglotzMeasure(np.array([0.4, 0.4]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             sample_measure(0, seed=1)
+        with pytest.raises(ValueError):
+            sample_measure(1, seed=-1)
+        with pytest.raises(TypeError):
+            sample_measure(1, seed=1.5)
+
+    def test_numpy_integer_seed(self):
+        mu = sample_measure(3, seed=np.uint64(2**63 + 5))
+        assert np.array_equal(mu.angles, sample_measure(3, seed=2**63 + 5).angles)
 
     @pytest.mark.parametrize("atoms", [1, 4, 8])
     def test_sampled_measures_need_no_revalidation(self, atoms):
@@ -84,6 +102,61 @@ class TestHerglotzMeasure:
         mu = sample_measure(atoms, seed)
         c = measure_to_caratheodory(mu, order=40)
         assert np.max(np.abs(c[1:])) <= 2.0 + 1e-14
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+# Seed blocks for the block sampler: across the 1-, 2-, 4- and 5-word
+# entropy boundaries of numpy's SeedSequence, with seeds up to ~2**200
+# (7 words), and one block mixing every word count.
+SEED_BLOCKS = [
+    range(0, 5),
+    range(2**32 - 3, 2**32 + 3),
+    range(2**64 - 3, 2**64 + 3),
+    range(2**128 - 3, 2**128 + 3),
+    range(2**200 - 2, 2**200 + 2),
+    [7, 2**40 + 1, 2**100, 2**130 + 9, 3, 2**199 + 12345, 2**64],
+]
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("seeds", SEED_BLOCKS)
+    def test_seeds_give_numpys_pcg64_states(self, seeds):
+        states = [np.random.PCG64(seed).state["state"] for seed in seeds]
+        assert _pcg64_states(seeds) == [(s["state"], s["inc"]) for s in states]
+
+    @pytest.mark.parametrize("atoms", range(1, 9))
+    def test_draws_are_default_rng_bit_for_bit(self, atoms):
+        for seeds in SEED_BLOCKS:
+            weights, angles = _sample_rows(atoms, seeds)
+            for row, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                assert _bits(weights[row]) == _bits(rng.dirichlet(np.ones(atoms)))
+                assert _bits(angles[row]) == _bits(rng.uniform(0.0, 2 * math.pi, atoms))
+
+    @given(
+        atoms=st.integers(min_value=1, max_value=8),
+        seeds=st.lists(st.integers(min_value=0, max_value=2**200), min_size=1, max_size=70),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_seed_list_matches_the_reference(self, atoms, seeds):
+        weights, angles = _sample_rows(atoms, seeds)
+        for row, seed in enumerate(seeds):
+            mu = reference_sample_measure(atoms, seed)
+            assert _bits(weights[row]) == _bits(mu.weights)
+            assert _bits(angles[row]) == _bits(mu.angles)
+
+    @pytest.mark.parametrize("atoms", [1, 3, 4, 8, 100, 300])
+    def test_block_rows_equal_the_one_measure_product(self, atoms):
+        # 100 and 300 atoms split the block into chunks of two rows and one.
+        seeds = range(2**64 - 40, 2**64 + 40)
+        c = _herglotz_coefficients(*_sample_rows(atoms, seeds), DEFAULT_ORDER)
+        for row, seed in enumerate(seeds):
+            mu = sample_measure(atoms, seed)
+            assert _bits(c[row]) == _bits(measure_to_caratheodory(mu)[1:])
+            assert _bits(c[row]) == _bits(reference_caratheodory(mu))
 
 
 class TestClassMember:
@@ -267,9 +340,9 @@ class TestLowerBoundExtremal:
 
 
 def _oracle_sweep(beta_grid, config, order):
-    """Scalar reference for falsification_sweep: one member at a time, in
-    Python complex arithmetic, merged as the sweep documents (first sample
-    attaining each maximum)."""
+    """Scalar reference for falsification_sweep: one member at a time, drawn
+    by numpy's own generator and checked in Python complex arithmetic,
+    merged as the sweep documents (first sample attaining each maximum)."""
     worst = {}
 
     def merge(check_id, lhs, rhs, witness):
@@ -294,7 +367,8 @@ def _oracle_sweep(beta_grid, config, order):
             radius_checks.append((check_id, tag, N, at))
         for si in range(config.samples):
             seed = config.seed * 1_000_003 + gi * 100_003 + si
-            member = ClassMember.from_measure(sample_measure(config.atoms, seed), bp, order)
+            mu = reference_sample_measure(config.atoms, seed)
+            member = ClassMember.from_measure(mu, bp, order)
             a = [complex(x) for x in member.a]
             witness = f"beta={beta:g}, seed={seed}"
             for n in range(2, N_MAX + 1):
