@@ -10,7 +10,8 @@ verify      Monte-Carlo verification of all inequalities
 sweep       radius solves over a beta grid (CSV schema is fixed)
 
 Exit status: 0 success, 1 validation error, 2 verification failure.
-All numeric output uses 17 significant digits so doubles round-trip.
+CSV cells hold numbers as %.17g and JSON numbers are Python's shortest
+round-trip repr; either way every double reads back exactly.
 """
 
 from __future__ import annotations
@@ -125,38 +126,48 @@ def _poly(spec: str | None) -> AreaPolynomial:
         raise CliError(f"--poly: {exc}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+def _write(
+    args: argparse.Namespace,
+    doc: dict | None,
+    header: Sequence[str] | None = None,
+    rows: Sequence[Sequence[str]] | None = None,
+) -> None:
+    """Write `doc` as JSON, or `header` and `rows` as CSV, to --out-path or
+    stdout.  The CSV defaults to the document's keys over one row of their
+    cells."""
+    if args.out_format == "json":
+        text = json.dumps(doc, indent=2) + "\n"
     else:
+        if header is None:
+            header = list(doc)
+            rows = [[_cell(doc[k]) for k in header]]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if not args.out_path:
         sys.stdout.write(text)
-
-
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+        return
+    try:
+        with open(args.out_path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"--out-path: {exc}") from exc
 
 
 def _root_document(problem: RadiusProblem, result: RootResult) -> dict:
     return {
         "variant": problem.variant.value,
-        "beta": float(fmt(problem.beta.value)),
+        "beta": problem.beta.value,
         "m": problem.m,
-        "p": float(fmt(problem.p)),
+        "p": problem.p,
         "N": problem.N,
         "poly": list(problem.F.lambdas),
-        "root": float(fmt(result.root)),
-        "residual": float(fmt(result.residual)),
-        "bracket_lo": float(fmt(result.bracket[0])),
-        "bracket_hi": float(fmt(result.bracket[1])),
+        "root": result.root,
+        "residual": result.residual,
+        "bracket_lo": result.bracket[0],
+        "bracket_hi": result.bracket[1],
         "iterations": result.iterations,
     }
 
@@ -179,12 +190,7 @@ def _cmd_radius(args: argparse.Namespace) -> int:
         N=getattr(args, "N", 1),
         F=_poly(args.poly),
     )
-    doc = _root_document(problem, solve_radius(problem, args.tol))
-    if args.out_format == "json":
-        _emit(_json_text(doc), args.out_path)
-    else:
-        keys = list(doc.keys())
-        _emit(_csv_text(keys, [[_cell(doc[k]) for k in keys]]), args.out_path)
+    _write(args, _root_document(problem, solve_radius(problem, args.tol)))
     return 0
 
 
@@ -198,18 +204,10 @@ def _cell(v: object) -> str:
 
 def _cmd_fs_bound(args: argparse.Namespace) -> int:
     beta = _beta(args.beta)
-    mus = parse_grid(args.mu, "--mu")
-    rows = [[fmt(beta.value), fmt(mu), fmt(fekete_szego_bound(mu, beta))] for mu in mus]
-    if args.out_format == "json":
-        doc = {
-            "beta": float(fmt(beta.value)),
-            "bounds": [
-                {"mu": float(r[1]), "bound": float(r[2])} for r in rows
-            ],
-        }
-        _emit(_json_text(doc), args.out_path)
-    else:
-        _emit(_csv_text(["beta", "mu", "bound"], rows), args.out_path)
+    bounds = [(mu, fekete_szego_bound(mu, beta)) for mu in parse_grid(args.mu, "--mu")]
+    doc = {"beta": beta.value, "bounds": [{"mu": mu, "bound": b} for mu, b in bounds]}
+    rows = [[fmt(beta.value), fmt(mu), fmt(b)] for mu, b in bounds]
+    _write(args, doc, ["beta", "mu", "bound"], rows)
     return 0
 
 
@@ -217,25 +215,14 @@ def _cmd_log_bounds(args: argparse.Namespace) -> int:
     beta = _beta(args.beta)
     lo, hi = log_diff_bounds(beta)
     ilo, ihi = inverse_log_diff_bounds(beta)
-    if args.out_format == "json":
-        doc = {
-            "beta": float(fmt(beta.value)),
-            "gamma_lower": float(fmt(lo)),
-            "gamma_upper": float(fmt(hi)),
-            "inverse_gamma_lower": float(fmt(ilo)),
-            "inverse_gamma_upper": float(fmt(ihi)),
-        }
-        _emit(_json_text(doc), args.out_path)
-    else:
-        header = [
-            "beta",
-            "gamma_lower",
-            "gamma_upper",
-            "inverse_gamma_lower",
-            "inverse_gamma_upper",
-        ]
-        row = [fmt(beta.value), fmt(lo), fmt(hi), fmt(ilo), fmt(ihi)]
-        _emit(_csv_text(header, [row]), args.out_path)
+    doc = {
+        "beta": beta.value,
+        "gamma_lower": lo,
+        "gamma_upper": hi,
+        "inverse_gamma_lower": ilo,
+        "inverse_gamma_upper": ihi,
+    }
+    _write(args, doc)
     return 0
 
 
@@ -266,37 +253,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--{exc}") from exc
     summary = falsification_sweep(betas, config)
     doc = {
-        "beta_grid": [float(fmt(b)) for b in betas],
+        "beta_grid": betas,
         "samples": config.samples,
         "atoms": config.atoms,
         "seed": config.seed,
-        "slack": float(fmt(config.slack)),
+        "slack": config.slack,
         "all_pass": summary.all_pass,
         "inequalities": [
             {
                 "id": rec.inequality_id,
-                "max_violation": float(fmt(rec.max_violation)),
+                "max_violation": rec.max_violation,
                 "witness": rec.witness,
                 "checks": rec.checks,
             }
             for rec in summary.records
         ],
     }
-    if args.out_format == "csv":
-        header = ["id", "max_violation", "witness", "checks", "pass"]
-        rows = [
-            [
-                rec.inequality_id,
-                fmt(rec.max_violation),
-                rec.witness,
-                str(rec.checks),
-                str(rec.max_violation <= config.slack).lower(),
-            ]
-            for rec in summary.records
+    rows = [
+        [
+            rec.inequality_id,
+            fmt(rec.max_violation),
+            rec.witness,
+            str(rec.checks),
+            str(rec.max_violation <= config.slack).lower(),
         ]
-        _emit(_csv_text(header, rows), args.out_path)
-    else:
-        _emit(_json_text(doc), args.out_path)
+        for rec in summary.records
+    ]
+    _write(args, doc, ["id", "max_violation", "witness", "checks", "pass"], rows)
     return 0 if summary.all_pass else 2
 
 
@@ -333,7 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _sweep_row(beta, m, p, n, variant, args.tol)
         for beta, m, p, n, variant in itertools.product(betas, ms, ps, ns, variants)
     ]
-    _emit(_csv_text(SWEEP_HEADER, rows), args.out_path)
+    _write(args, None, SWEEP_HEADER, rows)
     return 0
 
 
@@ -341,8 +324,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="abeta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p: _Parser, default_format: str) -> None:
-        p.add_argument("--out-format", choices=["csv", "json"], default=default_format)
+    def add_output(
+        p: _Parser, default_format: str, formats: tuple[str, ...] = ("csv", "json")
+    ) -> None:
+        p.add_argument("--out-format", choices=formats, default=default_format)
         p.add_argument("--out-path", default=None)
 
     def add_radius_args(p: _Parser) -> None:
@@ -392,7 +377,7 @@ def build_parser() -> _Parser:
     p.add_argument("--N", default="1")
     p.add_argument("--variant", choices=["bohr", "rogosinski", "both"], default="bohr")
     p.add_argument("--tol", type=float, default=1e-10)
-    add_output(p, "csv")
+    add_output(p, "csv", formats=("csv",))
     p.set_defaults(func=_cmd_sweep)
 
     return parser

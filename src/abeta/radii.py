@@ -123,9 +123,21 @@ class RadiusProblem:
         return extremal_at_minus_one(self.beta)
 
     def equation(self, r: float) -> float:
+        """lead(r) + f(r) - head(r) + F(area bound at r) + f(-1).
+
+        Bohr: lead = r^{pm} and head = r.  Rogosinski: lead = f(r^m)^p and
+        head = hat_f(r), the initial section removed from the majorant.
+        """
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"r must lie in (0, 1), got {r}")
+        beta = self.beta
         if self.variant is Variant.BOHR_SCHWARZ:
-            return equation_bohr(self, r)
-        return equation_rogosinski(self, r)
+            lead, head = r ** (self.p * self.m), r
+        else:
+            lead, head = eval_extremal(r ** self.m, beta) ** self.p, hat_f(self.N, beta, r)
+        # F == 0 skips the area bound, whose F value is 0 anyway.
+        area = 0.0 if self.F.is_zero else self.F(area_majorant(r, beta))
+        return lead + eval_extremal(r, beta) - head + area + self._f_minus_one
 
 
 @dataclass(frozen=True)
@@ -162,48 +174,16 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
     return total
 
 
-def _area_term(problem: RadiusProblem, r: float) -> float:
-    """F(area bound at r); 0.0 for the zero polynomial, whose F is 0 anyway."""
-    if problem.F.is_zero:
-        return 0.0
-    return problem.F(area_majorant(r, problem.beta))
-
-
-def equation_bohr(problem: RadiusProblem, r: float) -> float:
-    """H(r) = r^{pm} + f(r) - r + F(area bound at r) + f(-1)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    return (
-        r ** (problem.p * problem.m)
-        + eval_extremal(r, problem.beta)
-        - r
-        + _area_term(problem, r)
-        + problem._f_minus_one
-    )
-
-
-def equation_rogosinski(problem: RadiusProblem, r: float) -> float:
-    """G(r) = f(r^m)^p + f(r) - hat_f(r) + F(area bound at r) + f(-1)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    beta = problem.beta
-    return (
-        eval_extremal(r ** problem.m, beta) ** problem.p
-        + eval_extremal(r, beta)
-        - hat_f(problem.N, beta, r)
-        + _area_term(problem, r)
-        + problem._f_minus_one
-    )
-
-
 def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult:
     """Unique root of the problem's equation in (0, 1), bracketed to tol.
 
-    The initial bracket starts at lo = tol and moves hi from 0.5 halfway
-    to 1 until a sign change appears, keeping each negative hi as the new
-    lo; the equation diverges to +inf as r -> 1, so
-    failure to bracket below the cap indicates an evaluation bug, as does
-    any non-finite equation value.
+    The initial bracket starts at lo = min(tol, 1e-6) and moves hi from
+    0.5 halfway to 1 until a sign change appears, keeping each negative hi
+    as the new lo; the equation diverges to +inf as r -> 1, so failure to
+    bracket below the cap indicates an evaluation bug, as does any
+    non-finite equation value.  An equation already nonnegative at the
+    first lo raises BracketError: its root, if any, lies below lo, where
+    a bracket of width tol would not place it.
     """
     if not _MIN_TOL <= tol <= _MAX_TOL:
         raise ValueError(f"tol must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
@@ -220,12 +200,11 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
 
     lo = min(tol, 1e-6)
     flo = value(lo)
-    while flo >= 0.0:
-        # Root below lo (possible only for extreme inputs); shrink.
-        lo /= 16.0
-        if lo < 1e-300:
-            raise BracketError("equation is nonnegative arbitrarily close to 0")
-        flo = value(lo)
+    if flo >= 0.0:
+        raise BracketError(
+            f"equation is nonnegative at r = {lo!r} (tol = {tol!r}): "
+            "no root the solver can resolve"
+        )
 
     hi = 0.5
     fhi = value(hi)
@@ -307,11 +286,4 @@ def baseline_bohr_radius(
     beta: "BetaParam | float", m: int, tol: float = DEFAULT_TOL
 ) -> RootResult:
     """Named baseline: root of r^m + f(r) - r + f(-1) = 0 (p = 1, F = 0)."""
-    problem = RadiusProblem(
-        variant=Variant.BOHR_SCHWARZ,
-        beta=beta if isinstance(beta, BetaParam) else BetaParam(float(beta)),
-        m=m,
-        p=1.0,
-        F=ZERO_POLYNOMIAL,
-    )
-    return solve_radius(problem, tol)
+    return solve_radius(RadiusProblem(Variant.BOHR_SCHWARZ, beta, m=m), tol)

@@ -409,9 +409,8 @@ def _radius_check(
     problem: RadiusProblem, beta: BetaParam, order: int, at: float
 ) -> tuple[str, str, _Majorant, float]:
     """Id, witness, majorant and level -f(-1) of the problem's check at `at`."""
-    tag = "bohr" if problem.variant is Variant.BOHR_SCHWARZ else "rogosinski"
     return (
-        f"{tag}[beta={beta.value:g},m={problem.m},p={problem.p:g},N={problem.N}]",
+        f"{problem.variant.value}[beta={beta.value:g},m={problem.m},p={problem.p:g},N={problem.N}]",
         f"r={at!r}, mode=monomial",
         _majorant(problem, beta, order, at),
         -extremal_at_minus_one(beta),

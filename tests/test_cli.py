@@ -137,6 +137,7 @@ class TestRadiusCommand:
             ("--tol", "1e-17"),  # finer than doubles near the root resolve
             ("--tol", "inf"),  # wider than any bracket: its midpoint is no root
             ("--p", "inf"),  # would print "p": Infinity, which is not JSON
+            ("--m", "3", "--p", "0.01"),  # root near 1e-14, below the first probe
         ],
     )
     def test_unsolvable_input_is_one_error_line(self, flags):
@@ -267,6 +268,12 @@ class TestSweepCommand:
         assert code == 1
         assert "--beta-grid" in err
 
+    def test_rejects_json(self, capsys):
+        # The sweep schema is CSV only; json once printed CSV with exit 0.
+        code, out, err = run(capsys, "sweep", "--beta-grid", "0.1", "--out-format", "json")
+        assert code == 1 and out == ""
+        assert "--out-format: invalid choice: 'json'" in err and err.count("\n") == 1
+
     def test_out_path(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(
@@ -276,6 +283,369 @@ class TestSweepCommand:
         assert out == ""
         content = target.read_text()
         assert content.startswith("beta,m,p,N,variant,root,residual,iterations")
+
+
+# One recorded stdout per subcommand and output format.  CSV rows end in
+# CRLF and hold %.17g cells; JSON is indented by two spaces in the
+# document's key order, with numbers in Python's shortest round-trip repr.
+# Every value comes from the library's own arithmetic (verify's from numpy),
+# so these bytes change only if a computed value or the output format does.
+GOLDEN_STDOUT = {
+    ("radius", "--beta", "0.3", "--poly", "0.1,0.2", "--out-format", "csv"): (
+        "variant,beta,m,p,N,poly,root,residual,bracket_lo,bracket_hi,iterations\r\n"
+        "bohr,0.29999999999999999,1,1,1,0.10000000000000001;0.20000000000000001,0.22281843113958419,3.2976843478138562e-11,0.22281843111458419,0.22281843116458419,8\r\n"
+    ),
+    ("radius", "--beta", "0.3", "--poly", "0.1,0.2", "--out-format", "json"): (
+        "{\n"
+        '  "variant": "bohr",\n'
+        '  "beta": 0.3,\n'
+        '  "m": 1,\n'
+        '  "p": 1.0,\n'
+        '  "N": 1,\n'
+        '  "poly": [\n'
+        "    0.1,\n"
+        "    0.2\n"
+        "  ],\n"
+        '  "root": 0.2228184311395842,\n'
+        '  "residual": 3.297684347813856e-11,\n'
+        '  "bracket_lo": 0.2228184311145842,\n'
+        '  "bracket_hi": 0.2228184311645842,\n'
+        '  "iterations": 8\n'
+        "}\n"
+    ),
+    ("rogosinski", "--beta", "0.5", "--m", "2", "--p", "1.5", "--N", "3", "--out-format", "csv"): (
+        "variant,beta,m,p,N,poly,root,residual,bracket_lo,bracket_hi,iterations\r\n"
+        "rogosinski,0.5,2,1.5,3,,0.42442448908997876,0,0.42442448906497876,0.42442448911497876,11\r\n"
+    ),
+    ("rogosinski", "--beta", "0.5", "--m", "2", "--p", "1.5", "--N", "3", "--out-format", "json"): (
+        "{\n"
+        '  "variant": "rogosinski",\n'
+        '  "beta": 0.5,\n'
+        '  "m": 2,\n'
+        '  "p": 1.5,\n'
+        '  "N": 3,\n'
+        '  "poly": [],\n'
+        '  "root": 0.42442448908997876,\n'
+        '  "residual": 0.0,\n'
+        '  "bracket_lo": 0.42442448906497876,\n'
+        '  "bracket_hi": 0.42442448911497876,\n'
+        '  "iterations": 11\n'
+        "}\n"
+    ),
+    ("fs-bound", "--beta", "0.5", "--mu=-1,0.25,1", "--out-format", "csv"): (
+        "beta,mu,bound\r\n"
+        "0.5,-1,2.7777777777777777\r\n"
+        "0.5,0.25,1\r\n"
+        "0.5,1,1\r\n"
+    ),
+    ("fs-bound", "--beta", "0.5", "--mu=-1,0.25,1", "--out-format", "json"): (
+        "{\n"
+        '  "beta": 0.5,\n'
+        '  "bounds": [\n'
+        "    {\n"
+        '      "mu": -1.0,\n'
+        '      "bound": 2.7777777777777777\n'
+        "    },\n"
+        "    {\n"
+        '      "mu": 0.25,\n'
+        '      "bound": 1.0\n'
+        "    },\n"
+        "    {\n"
+        '      "mu": 1.0,\n'
+        '      "bound": 1.0\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
+    ("log-bounds", "--beta", "0.5", "--out-format", "csv"): (
+        "beta,gamma_lower,gamma_upper,inverse_gamma_lower,inverse_gamma_upper\r\n"
+        "0.5,-0.63245553203367588,0.5,-0.40824829046386307,0.5\r\n"
+    ),
+    ("log-bounds", "--beta", "0.5", "--out-format", "json"): (
+        "{\n"
+        '  "beta": 0.5,\n'
+        '  "gamma_lower": -0.6324555320336759,\n'
+        '  "gamma_upper": 0.5,\n'
+        '  "inverse_gamma_lower": -0.4082482904638631,\n'
+        '  "inverse_gamma_upper": 0.5\n'
+        "}\n"
+    ),
+    ("verify", "--beta", "0.5", "--samples", "2", "--seed", "42", "--out-format", "csv"): (
+        "id,max_violation,witness,checks,pass\r\n"
+        'coeff[n=2],-0.4245072558564128,"beta=0.5, seed=42000127",2,true\r\n'
+        'coeff[n=3],-0.55535868267681576,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=4],-0.30767827799439285,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=5],-0.29780699423238993,"beta=0.5, seed=42000127",2,true\r\n'
+        'coeff[n=6],-0.085424801879801893,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=7],-0.15136396906494931,"beta=0.5, seed=42000127",2,true\r\n'
+        'coeff[n=8],-0.2544484102366687,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=9],-0.13814557066988914,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=10],-0.23200248139232504,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=11],-0.038195322601799198,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=12],-0.10044092934326435,"beta=0.5, seed=42000127",2,true\r\n'
+        'coeff[n=13],-0.07240811461077365,"beta=0.5, seed=42000127",2,true\r\n'
+        'coeff[n=14],-0.046120350323829079,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=15],-0.12678462720148048,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=16],-0.083978769759832955,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=17],-0.09064196264524324,"beta=0.5, seed=42000127",2,true\r\n'
+        'coeff[n=18],-0.0035204395257870391,"beta=0.5, seed=42000127",2,true\r\n'
+        'coeff[n=19],-0.03385765026963039,"beta=0.5, seed=42000126",2,true\r\n'
+        'coeff[n=20],-0.082725991133509175,"beta=0.5, seed=42000127",2,true\r\n'
+        'fekete_szego[mu=-2],-2.4729314979609054,"beta=0.5, seed=42000127",2,true\r\n'
+        'fekete_szego[mu=-1],-1.5197053758511356,"beta=0.5, seed=42000127",2,true\r\n'
+        'fekete_szego[mu=0],-0.55535868267681576,"beta=0.5, seed=42000126",2,true\r\n'
+        'fekete_szego[mu=0.5],-0.39101984498523878,"beta=0.5, seed=42000126",2,true\r\n'
+        'fekete_szego[mu=1],-0.19495376601406089,"beta=0.5, seed=42000126",2,true\r\n'
+        'fekete_szego[mu=2],-1.3247591862369221,"beta=0.5, seed=42000126",2,true\r\n'
+        'log_diff_upper,-0.53324915281364582,"beta=0.5, seed=42000126",2,true\r\n'
+        'log_diff_lower,-0.22599600252334917,"beta=0.5, seed=42000127",2,true\r\n'
+        'inverse_log_diff_upper,-0.33043416183897428,"beta=0.5, seed=42000126",2,true\r\n'
+        'inverse_log_diff_lower,-0.36179080585210704,"beta=0.5, seed=42000127",2,true\r\n'
+        '"bohr[beta=0.5,m=1,p=1,N=1]",-0.01874826824675721,"r=0.1773657034066072, mode=monomial, seed=42000127",2,true\r\n'
+        '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.01447376406666176,"r=0.15391781009884792, mode=monomial, seed=42000127",2,true\r\n'
+    ),
+    ("verify", "--beta", "0.5", "--samples", "2", "--seed", "42", "--out-format", "json"): (
+        "{\n"
+        '  "beta_grid": [\n'
+        "    0.5\n"
+        "  ],\n"
+        '  "samples": 2,\n'
+        '  "atoms": 4,\n'
+        '  "seed": 42,\n'
+        '  "slack": 1e-09,\n'
+        '  "all_pass": true,\n'
+        '  "inequalities": [\n'
+        "    {\n"
+        '      "id": "coeff[n=2]",\n'
+        '      "max_violation": -0.4245072558564128,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=3]",\n'
+        '      "max_violation": -0.5553586826768158,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=4]",\n'
+        '      "max_violation": -0.30767827799439285,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=5]",\n'
+        '      "max_violation": -0.29780699423238993,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=6]",\n'
+        '      "max_violation": -0.08542480187980189,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=7]",\n'
+        '      "max_violation": -0.1513639690649493,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=8]",\n'
+        '      "max_violation": -0.2544484102366687,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=9]",\n'
+        '      "max_violation": -0.13814557066988914,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=10]",\n'
+        '      "max_violation": -0.23200248139232504,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=11]",\n'
+        '      "max_violation": -0.0381953226017992,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=12]",\n'
+        '      "max_violation": -0.10044092934326435,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=13]",\n'
+        '      "max_violation": -0.07240811461077365,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=14]",\n'
+        '      "max_violation": -0.04612035032382908,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=15]",\n'
+        '      "max_violation": -0.12678462720148048,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=16]",\n'
+        '      "max_violation": -0.08397876975983296,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=17]",\n'
+        '      "max_violation": -0.09064196264524324,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=18]",\n'
+        '      "max_violation": -0.003520439525787039,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=19]",\n'
+        '      "max_violation": -0.03385765026963039,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "coeff[n=20]",\n'
+        '      "max_violation": -0.08272599113350917,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "fekete_szego[mu=-2]",\n'
+        '      "max_violation": -2.4729314979609054,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "fekete_szego[mu=-1]",\n'
+        '      "max_violation": -1.5197053758511356,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "fekete_szego[mu=0]",\n'
+        '      "max_violation": -0.5553586826768158,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "fekete_szego[mu=0.5]",\n'
+        '      "max_violation": -0.3910198449852388,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "fekete_szego[mu=1]",\n'
+        '      "max_violation": -0.1949537660140609,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "fekete_szego[mu=2]",\n'
+        '      "max_violation": -1.3247591862369221,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "log_diff_upper",\n'
+        '      "max_violation": -0.5332491528136458,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "log_diff_lower",\n'
+        '      "max_violation": -0.22599600252334917,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "inverse_log_diff_upper",\n'
+        '      "max_violation": -0.3304341618389743,\n'
+        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "inverse_log_diff_lower",\n'
+        '      "max_violation": -0.36179080585210704,\n'
+        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "bohr[beta=0.5,m=1,p=1,N=1]",\n'
+        '      "max_violation": -0.01874826824675721,\n'
+        '      "witness": "r=0.1773657034066072, mode=monomial, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    },\n"
+        "    {\n"
+        '      "id": "rogosinski[beta=0.5,m=1,p=1,N=2]",\n'
+        '      "max_violation": -0.01447376406666176,\n'
+        '      "witness": "r=0.15391781009884792, mode=monomial, seed=42000127",\n'
+        '      "checks": 2\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
+    ("sweep", "--beta-grid", "0,0.5", "--m", "1,2", "--variant", "both", "--out-format", "csv"): (
+        "beta,m,p,N,variant,root,residual,iterations\r\n"
+        "0,1,1,1,bohr,0.28519408766224069,4.4853398772914943e-11,8\r\n"
+        "0,1,1,1,rogosinski,0.16320489851547759,6.9483530040770347e-11,8\r\n"
+        "0,2,1,1,bohr,0.40216812044599975,-5.3743731687205809e-11,8\r\n"
+        "0,2,1,1,rogosinski,0.24746237701180226,0,10\r\n"
+        "0.5,1,1,1,bohr,0.17836570340660721,3.520303493154131e-11,8\r\n"
+        "0.5,1,1,1,rogosinski,0.099449717276195906,6.4834249080547579e-11,8\r\n"
+        "0.5,2,1,1,bohr,0.28959608729268138,-1.5510703832433137e-11,9\r\n"
+        "0.5,2,1,1,rogosinski,0.16111816786081073,1.5466156133570053e-11,9\r\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_stdout_is_byte_identical_to_the_recorded_bytes(argv):
+    assert run_quiet(list(argv)) == (0, GOLDEN_STDOUT[argv], "")
+
+
+class TestOutPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("radius", "--beta", "0.3"),
+            ("fs-bound", "--beta", "0.3", "--mu=-1,1", "--out-format", "json"),
+            ("log-bounds", "--beta", "0.3"),
+            ("verify", "--beta", "0.3", "--samples", "1", "--out-format", "csv"),
+            ("sweep", "--beta-grid", "0.1"),
+        ],
+    )
+    def test_writes_the_stdout_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        _, expected, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--out-path", str(target)) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unwritable_path_is_one_error_line(self, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "out.csv"
+        proc = run_process("radius", "--beta", "0.3", "--out-path", str(target))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: --out-path: ") and proc.stderr.count("\n") == 1
 
 
 QUERY_COMMANDS_WITHOUT_NUMPY = """
@@ -409,18 +779,28 @@ FUZZ_VALUES = {
     "--slack": (["1e-9", "0"], ["-1", "nan", "x"]),
     "--variant": (["bohr", "rogosinski", "both"], ["all"]),
     "--out-format": (["csv", "json"], ["xml"]),
+    "--out-path": (
+        [os.devnull],
+        ["/", str(Path(__file__).parent / "no-such-directory" / "out.csv")],
+    ),
 }
 
-RADIUS_FLAGS = ["--beta", "--m", "--p", "--poly", "--tol", "--out-format"]
+RADIUS_FLAGS = ["--beta", "--m", "--p", "--poly", "--tol", "--out-format", "--out-path"]
 # Per subcommand: the flags it needs (verify's --samples keeps examples
 # cheap), then the optional ones.
 FUZZ_FLAGS = {
     "radius": (["--beta"], RADIUS_FLAGS),
     "rogosinski": (["--beta"], [*RADIUS_FLAGS, "--N"]),
-    "fs-bound": (["--beta", "--mu"], ["--out-format"]),
-    "log-bounds": (["--beta"], ["--out-format"]),
-    "verify": (["--beta", "--samples"], ["--beta-grid", "--atoms", "--seed", "--slack", "--out-format"]),
-    "sweep": (["--beta-grid"], ["--m", "--p", "--N", "--variant", "--tol", "--out-format"]),
+    "fs-bound": (["--beta", "--mu"], ["--out-format", "--out-path"]),
+    "log-bounds": (["--beta"], ["--out-format", "--out-path"]),
+    "verify": (
+        ["--beta", "--samples"],
+        ["--beta-grid", "--atoms", "--seed", "--slack", "--out-format", "--out-path"],
+    ),
+    "sweep": (
+        ["--beta-grid"],
+        ["--m", "--p", "--N", "--variant", "--tol", "--out-format", "--out-path"],
+    ),
     "nope": ([], ["--beta"]),
 }
 

@@ -31,8 +31,6 @@ from abeta.radii import (
     Variant,
     ZERO_POLYNOMIAL,
     baseline_bohr_radius,
-    equation_bohr,
-    equation_rogosinski,
     hat_f,
     solve_radius,
 )
@@ -115,13 +113,13 @@ class TestHatF:
 
 class TestEquations:
     def test_bohr_limit_at_zero(self):
-        val = equation_bohr(problem(m=1, p=1.0), 1e-9)
+        val = problem(m=1, p=1.0).equation(1e-9)
         assert val == pytest.approx(F_MINUS_ONE_B0, abs=1e-6)
         assert val < 0
 
     def test_bohr_zero_at_oracle_root(self):
         root = bisect_oracle(baseline_equation_beta0(1))
-        assert equation_bohr(problem(m=1, p=1.0), root) == pytest.approx(0.0, abs=1e-6)
+        assert problem(m=1, p=1.0).equation(root) == pytest.approx(0.0, abs=1e-6)
 
     def test_strictly_increasing(self):
         probs = [
@@ -135,16 +133,14 @@ class TestEquations:
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_rogosinski_limit_at_zero(self):
-        val = equation_rogosinski(
-            problem(Variant.BOHR_ROGOSINSKI, m=1, p=1.0, N=2), 1e-9
-        )
+        val = problem(Variant.BOHR_ROGOSINSKI, m=1, p=1.0, N=2).equation(1e-9)
         assert val == pytest.approx(F_MINUS_ONE_B0, abs=1e-6)
 
     def test_rogosinski_closed_form_beta0(self):
         # N=1, m=1, p=1, F=0 at beta=0: G(r) = 2 f(r) + f(-1).
         r = 0.15
         expected = 2 * (-r - 2 * math.log1p(-r)) + F_MINUS_ONE_B0
-        got = equation_rogosinski(problem(Variant.BOHR_ROGOSINSKI, m=1, p=1.0, N=1), r)
+        got = problem(Variant.BOHR_ROGOSINSKI, m=1, p=1.0, N=1).equation(r)
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_rogosinski_reduction_N2(self):
@@ -156,8 +152,8 @@ class TestEquations:
         from abeta.extremal import eval_extremal
 
         for r in np.linspace(0.05, 0.9, 9):
-            lhs = equation_rogosinski(prob, r)
-            rhs = eval_extremal(r, 0.4) ** 1 + (equation_bohr(base, r) - r ** 1)
+            lhs = prob.equation(r)
+            rhs = eval_extremal(r, 0.4) ** 1 + (base.equation(r) - r ** 1)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -330,6 +326,15 @@ class TestSolveRadius:
 
     def test_bracket_error_type_exists(self):
         assert issubclass(BracketError, RuntimeError)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-4])
+    def test_root_below_the_first_probe_raises(self, tol):
+        # r^{0.03} = -f(-1) near r = 4e-22: the equation is positive at the
+        # first lo = min(tol, 1e-6), and no bracket of width tol places the
+        # root.  A shrinking lo once returned 1.25e-11 with residual 0.243.
+        lo = min(tol, 1e-6)
+        with pytest.raises(BracketError, match=f"r = {lo!r} \\(tol = {tol!r}\\)"):
+            solve_radius(problem(beta=0.5, m=3, p=0.01), tol)
 
     def test_non_finite_equation_value_raises(self):
         class NotFinite(RadiusProblem):
