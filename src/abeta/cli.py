@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -69,7 +70,7 @@ def _finite(values: Iterable[float]) -> list[float]:
 def parse_grid(spec: str, flag: str) -> list[float]:
     """Parse `start:stop:step` (start inclusive, stop exclusive beyond
     floating tolerance, at most 10**6 values), a comma list, or a single
-    number; every value must be finite."""
+    number; every value must be finite, and the grid must not be empty."""
     try:
         if ":" in spec:
             parts = spec.split(":")
@@ -89,12 +90,13 @@ def parse_grid(spec: str, flag: str) -> list[float]:
                     break
                 values.append(v)
                 k += 1
-            if not values:
-                raise ValueError("empty grid")
-            return values
-        if "," in spec:
-            return _finite(float(p) for p in spec.split(",") if p.strip())
-        return _finite([float(spec)])
+        elif "," in spec:
+            values = _finite(float(p) for p in spec.split(",") if p.strip())
+        else:
+            values = _finite([float(spec)])
+        if not values:
+            raise ValueError("empty grid")
+        return values
     except ValueError as exc:
         raise CliError(f"{flag}: malformed grid {spec!r} ({exc})") from exc
 
@@ -126,25 +128,39 @@ def _poly(spec: str | None) -> AreaPolynomial:
         raise CliError(f"--poly: {exc}") from exc
 
 
-def _write(
-    args: argparse.Namespace,
-    doc: dict | None,
-    header: Sequence[str] | None = None,
-    rows: Sequence[Sequence[str]] | None = None,
-) -> None:
-    """Write `doc` as JSON, or `header` and `rows` as CSV, to --out-path or
-    stdout.  The CSV defaults to the document's keys over one row of their
-    cells."""
+def _validated(make: Callable, **fields):
+    """make(**fields), whose ValueError names the offending field first;
+    the flags carry the field names."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise CliError(f"--{exc}") from exc
+
+
+def _cell(v: object) -> str:
+    """One CSV cell: floats as %.17g, lists joined by ';', bools lowercase."""
+    if isinstance(v, float):
+        return fmt(v)
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, list):
+        return ";".join(fmt(float(x)) for x in v)
+    return str(v)
+
+
+def _write(args: argparse.Namespace, doc: dict | None, rows: Sequence[dict] | None = None) -> None:
+    """Write `doc` as JSON, or `rows` (by default `doc` alone) as CSV, to
+    --out-path or stdout.  The CSV header is the first row's keys and every
+    cell goes through `_cell`."""
     if args.out_format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
-        if header is None:
-            header = list(doc)
-            rows = [[_cell(doc[k]) for k in header]]
+        if rows is None:
+            rows = [doc]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(rows[0].keys())
+        writer.writerows([_cell(v) for v in row.values()] for row in rows)
         text = buf.getvalue()
     if not args.out_path:
         sys.stdout.write(text)
@@ -172,42 +188,28 @@ def _root_document(problem: RadiusProblem, result: RootResult) -> dict:
     }
 
 
-def _radius_problem(**fields) -> RadiusProblem:
-    try:
-        return RadiusProblem(**fields)
-    except ValueError as exc:
-        # RadiusProblem names the offending field first, and the radius
-        # flags carry the field names.
-        raise CliError(f"--{exc}") from exc
-
-
 def _cmd_radius(args: argparse.Namespace) -> int:
-    problem = _radius_problem(
+    problem = _validated(
+        RadiusProblem,
         variant=args.variant,
         beta=_beta(args.beta, strict=True),
         m=args.m,
         p=args.p,
-        N=getattr(args, "N", 1),
+        N=args.N,
         F=_poly(args.poly),
     )
     _write(args, _root_document(problem, solve_radius(problem, args.tol)))
     return 0
 
 
-def _cell(v: object) -> str:
-    if isinstance(v, float):
-        return fmt(v)
-    if isinstance(v, list):
-        return ";".join(fmt(float(x)) for x in v)
-    return str(v)
-
-
 def _cmd_fs_bound(args: argparse.Namespace) -> int:
     beta = _beta(args.beta)
-    bounds = [(mu, fekete_szego_bound(mu, beta)) for mu in parse_grid(args.mu, "--mu")]
-    doc = {"beta": beta.value, "bounds": [{"mu": mu, "bound": b} for mu, b in bounds]}
-    rows = [[fmt(beta.value), fmt(mu), fmt(b)] for mu, b in bounds]
-    _write(args, doc, ["beta", "mu", "bound"], rows)
+    bounds = [
+        {"mu": mu, "bound": _validated(fekete_szego_bound, mu=mu, beta=beta)}
+        for mu in parse_grid(args.mu, "--mu")
+    ]
+    rows = [{"beta": beta.value, **entry} for entry in bounds]
+    _write(args, {"beta": beta.value, "bounds": bounds}, rows)
     return 0
 
 
@@ -240,83 +242,43 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else [args.beta]
     for b in betas:
         _beta(b, "--beta-grid" if args.beta_grid else "--beta", strict=True)
-    try:
-        config = VerifyConfig(
-            samples=args.samples,
-            atoms=args.atoms,
-            seed=args.seed,
-            slack=args.slack,
-        )
-    except ValueError as exc:
-        # VerifyConfig names the offending field first, and these flags
-        # carry the field names.
-        raise CliError(f"--{exc}") from exc
+    config = _validated(
+        VerifyConfig, samples=args.samples, atoms=args.atoms, seed=args.seed, slack=args.slack
+    )
     summary = falsification_sweep(betas, config)
-    doc = {
-        "beta_grid": betas,
-        "samples": config.samples,
-        "atoms": config.atoms,
-        "seed": config.seed,
-        "slack": config.slack,
-        "all_pass": summary.all_pass,
-        "inequalities": [
-            {
-                "id": rec.inequality_id,
-                "max_violation": rec.max_violation,
-                "witness": rec.witness,
-                "checks": rec.checks,
-            }
-            for rec in summary.records
-        ],
-    }
-    rows = [
-        [
-            rec.inequality_id,
-            fmt(rec.max_violation),
-            rec.witness,
-            str(rec.checks),
-            str(rec.max_violation <= config.slack).lower(),
-        ]
+    inequalities = [
+        {
+            "id": rec.inequality_id,
+            "max_violation": rec.max_violation,
+            "witness": rec.witness,
+            "checks": rec.checks,
+        }
         for rec in summary.records
     ]
-    _write(args, doc, ["id", "max_violation", "witness", "checks", "pass"], rows)
+    doc = {
+        "beta_grid": betas,
+        **dataclasses.asdict(config),
+        "all_pass": summary.all_pass,
+        "inequalities": inequalities,
+    }
+    rows = [{**entry, "pass": entry["max_violation"] <= config.slack} for entry in inequalities]
+    _write(args, doc, rows)
     return 0 if summary.all_pass else 2
 
 
-def _sweep_row(
-    beta: float, m: int, p: float, n_rog: int, variant: Variant, tol: float
-) -> list[str]:
-    problem = _radius_problem(variant=variant, beta=BetaParam(beta), m=m, p=p, N=n_rog)
-    result = solve_radius(problem, tol)
-    return [
-        fmt(beta),
-        str(m),
-        fmt(p),
-        str(n_rog),
-        variant.value,
-        fmt(result.root),
-        fmt(result.residual),
-        str(result.iterations),
-    ]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    betas = parse_grid(args.beta_grid, "--beta-grid")
-    for b in betas:
-        _beta(b, "--beta-grid", strict=True)
+    grid = parse_grid(args.beta_grid, "--beta-grid")
+    betas = [_beta(b, "--beta-grid", strict=True) for b in grid]
     ms = _int_grid(args.m, "--m")
     ps = parse_grid(args.p, "--p")
     ns = _int_grid(args.N, "--N")
-    variants = {
-        "bohr": [Variant.BOHR_SCHWARZ],
-        "rogosinski": [Variant.BOHR_ROGOSINSKI],
-        "both": [Variant.BOHR_SCHWARZ, Variant.BOHR_ROGOSINSKI],
-    }[args.variant]
-    rows = [
-        _sweep_row(beta, m, p, n, variant, args.tol)
-        for beta, m, p, n, variant in itertools.product(betas, ms, ps, ns, variants)
-    ]
-    _write(args, None, SWEEP_HEADER, rows)
+    variants = list(Variant) if args.variant == "both" else [Variant(args.variant)]
+    rows = []
+    for beta, m, p, n, variant in itertools.product(betas, ms, ps, ns, variants):
+        problem = _validated(RadiusProblem, variant=variant, beta=beta, m=m, p=p, N=n)
+        doc = _root_document(problem, solve_radius(problem, args.tol))
+        rows.append({key: doc[key] for key in SWEEP_HEADER})
+    _write(args, None, rows)
     return 0
 
 
@@ -340,7 +302,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("radius", help="solve a Bohr radius equation")
     add_radius_args(p)
     add_output(p, "json")
-    p.set_defaults(func=_cmd_radius, variant=Variant.BOHR_SCHWARZ)
+    p.set_defaults(func=_cmd_radius, variant=Variant.BOHR_SCHWARZ, N=1)
 
     p = sub.add_parser("rogosinski", help="solve a Bohr-Rogosinski radius equation")
     add_radius_args(p)

@@ -376,7 +376,7 @@ def _coefficient_tail_bound(beta: BetaParam, order: int, r: float) -> float:
 _Majorant = Callable[[np.ndarray], np.ndarray]
 
 
-def _majorant(problem: RadiusProblem, beta: BetaParam, order: int, r: float) -> _Majorant:
+def _majorant(problem: RadiusProblem, order: int, r: float) -> _Majorant:
     """The problem's Bohr (sum from n = 2) or Bohr-Rogosinski (sum from n = N)
     majorant at |z| = r with w_n(z) = z^n, as a map from rows of member
     coefficients a_1..a_{order+1} to lead + sum_n |a_n| r^n + tail +
@@ -387,8 +387,8 @@ def _majorant(problem: RadiusProblem, beta: BetaParam, order: int, r: float) -> 
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
+    beta, m, p, F = problem.beta, problem.m, problem.p, problem.F
     tail = _coefficient_tail_bound(beta, order, r)
-    m, p, F = problem.m, problem.p, problem.F
     if problem.variant is Variant.BOHR_SCHWARZ:
         start, lead = 2, (r ** m) ** p
     else:
@@ -406,13 +406,14 @@ def _majorant(problem: RadiusProblem, beta: BetaParam, order: int, r: float) -> 
 
 
 def _radius_check(
-    problem: RadiusProblem, beta: BetaParam, order: int, at: float
+    problem: RadiusProblem, order: int, at: float
 ) -> tuple[str, str, _Majorant, float]:
     """Id, witness, majorant and level -f(-1) of the problem's check at `at`."""
+    beta = problem.beta
     return (
         f"{problem.variant.value}[beta={beta.value:g},m={problem.m},p={problem.p:g},N={problem.N}]",
         f"r={at!r}, mode=monomial",
-        _majorant(problem, beta, order, at),
+        _majorant(problem, order, at),
         -extremal_at_minus_one(beta),
     )
 
@@ -424,11 +425,14 @@ def check_bohr(
 
     -f(-1) is the proven lower bound for the distance from the origin to
     the image boundary, which is exactly the level the majorant is
-    guaranteed to stay below inside the radius.
+    guaranteed to stay below inside the radius.  The member must share
+    the problem's beta.
     """
     if not 0.0 < at < 1.0:
         raise ValueError(f"at must lie in (0, 1), got {at}")
-    check_id, witness, majorant, rhs = _radius_check(problem, member.beta, member.order, at)
+    if member.beta != problem.beta:
+        raise ValueError(f"member beta {member.beta.value} != problem beta {problem.beta.value}")
+    check_id, witness, majorant, rhs = _radius_check(problem, member.order, at)
     return BoundReport(check_id, float(majorant(member.a[None])[0]), rhs, witness, slack)
 
 
@@ -542,6 +546,8 @@ def falsification_sweep(
     produce identical summaries.  Members are checked in blocks: one array
     expression per inequality family and block.
     """
+    if len(beta_grid) == 0:
+        raise ValueError("beta_grid: must hold at least one beta")
     worst: dict[str, list] = {}  # id -> [max violation, witness, checks]
     for gi, beta in enumerate(beta_grid):
         bp = BetaParam(float(beta))
@@ -553,7 +559,7 @@ def falsification_sweep(
             # Just inside the root; half of it for roots below twice the offset.
             root = solve_radius(problem).root
             at = root - min(RADIUS_OFFSET, 0.5 * root)
-            radius_checks.append(_radius_check(problem, bp, DEFAULT_ORDER, at))
+            radius_checks.append(_radius_check(problem, DEFAULT_ORDER, at))
         first_seed = config.seed * 1_000_003 + gi * 100_003
         for start in range(0, config.samples, _BLOCK):
             seeds = range(first_seed + start, first_seed + min(start + _BLOCK, config.samples))

@@ -72,6 +72,21 @@ class TestFeketeSzego:
         with pytest.raises(TypeError):
             fekete_szego_bound(1j, 0.0)
 
+    @pytest.mark.parametrize("mu", [1e308, 2e307, -1e308, -2e307, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_rejects_non_finite_mu_or_bound(self, mu, beta):
+        # 12*mu overflows from about 1.5e307: the bound once came back inf or nan.
+        with pytest.raises(ValueError, match="^mu: "):
+            fekete_szego_bound(mu, beta)
+
+    @pytest.mark.parametrize("mu", [-1e307, -1.0, 5.0, 1e307])
+    def test_finite_bound_keeps_the_closed_form_bits(self, mu):
+        b = 0.3
+        first = ((8.0 - 12.0 * mu) + (8.0 * mu - 8.0) * b + 2.0 * b * b) / (
+            (3.0 - 2.0 * b) * (2.0 - b) ** 2
+        )
+        assert fekete_szego_bound(mu, b) == (first if mu < 0.0 else -first)
+
 
 class TestPsiBounds:
     def test_plus_second_branch(self):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -83,6 +84,24 @@ class TestGridSyntax:
         proc = run_process(*argv)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith(f"error: {flag}: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--beta-grid", ","),
+            ("fs-bound", "--beta", "0.3", "--mu", ","),
+            ("sweep", "--beta-grid", ","),
+            ("sweep", "--beta-grid", "0.1", "--m", ","),
+            ("sweep", "--beta-grid", "0.1", "--p", ","),
+            ("sweep", "--beta-grid", "0.1", "--N", ","),
+        ],
+        ids=" ".join,
+    )
+    def test_empty_grid_is_one_error_line(self, argv):
+        # These once printed a bare header, or verify an empty "all_pass".
+        assert run_quiet(list(argv)) == (
+            1, "", f"error: {argv[-2]}: malformed grid ',' (empty grid)\n"
+        )
 
     def test_malformed(self):
         with pytest.raises(CliError, match="--beta-grid"):
@@ -197,6 +216,16 @@ class TestBoundCommands:
         assert float(rows[0].split(",")[2]) == pytest.approx(5 / 3, abs=1e-12)
         assert float(rows[1].split(",")[2]) == pytest.approx(2 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("mu", ["1e308", "2e307", "-1e308"])
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_fs_bound_overflow_is_one_error_line(self, mu, out_format):
+        # 1e308 once printed nan (NaN in JSON) and 2e307 inf, with exit 0.
+        code, out, err = run_quiet(
+            ["fs-bound", "--beta", "0.3", f"--mu={mu}", "--out-format", out_format]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --mu: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_passes_and_is_deterministic(self, capsys):
@@ -235,6 +264,18 @@ class TestVerifyCommand:
         )
         assert (code, out) == (1, "")
         assert err == f"error: --atoms: must be <= {MAX_ATOMS}, got 10000000000000\n"
+
+    def test_failed_inequality_exits_2(self, capsys, monkeypatch):
+        # A zero coefficient bound fails every coeff[...] check and no other.
+        monkeypatch.setattr("abeta.verify.extremal_coeff", lambda n, beta: 0.0)
+        argv = ("verify", "--beta", "0.5", "--samples", "5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and json.loads(out)["all_pass"] is False
+        code, out, _ = run(capsys, *argv, "--out-format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 2 and any(row["id"].startswith("coeff[") for row in rows)
+        for row in rows:
+            assert row["pass"] == ("false" if row["id"].startswith("coeff[") else "true"), row
 
     def test_verify_rejects_beta_one(self, capsys):
         code, _, err = run(capsys, "verify", "--beta", "1", "--samples", "5")
@@ -615,6 +656,14 @@ GOLDEN_STDOUT = {
         "0.5,2,1,1,bohr,0.28959608729268138,-1.5510703832433137e-11,9\r\n"
         "0.5,2,1,1,rogosinski,0.16111816786081073,1.5466156133570053e-11,9\r\n"
     ),
+    ("sweep", "--beta-grid", "0.25", "--m", "2", "--p", "0.5,2", "--N", "1,3",
+     "--variant", "rogosinski"): (
+        "beta,m,p,N,variant,root,residual,iterations\r\n"
+        "0.25,2,0.5,1,rogosinski,0.14346385288698668,0,9\r\n"
+        "0.25,2,0.5,3,rogosinski,0.27954482396457137,3.5109859464199644e-11,8\r\n"
+        "0.25,2,2,1,rogosinski,0.23529572241286265,3.0992597377377251e-11,8\r\n"
+        "0.25,2,2,3,rogosinski,0.51389801969097937,-6.7372885048655462e-11,11\r\n"
+    ),
 }
 
 
@@ -766,13 +815,13 @@ class TestParserReuse:
 # Values each flag may take in the fuzz test: (valid, malformed).
 FUZZ_VALUES = {
     "--beta": (["0", "0.5", "0.9", "0.999"], ["1", "1.5", "-0.1", "nan", "x"]),
-    "--m": (["1", "3"], ["0", "1.5", "1,2", "x"]),
-    "--p": (["0.5", "1", "2"], ["0", "-1", "inf", "1e-9", "x"]),
-    "--N": (["1", "3", "50"], ["0", "1,2", "x"]),
+    "--m": (["1", "3"], ["0", "1.5", "1,2", ",", "x"]),
+    "--p": (["0.5", "1", "2"], ["0", "-1", "inf", "1e-9", ",", "x"]),
+    "--N": (["1", "3", "50"], ["0", "1,2", ",", "x"]),
     "--poly": (["0.1", "0.2,0.05", ""], ["-1", "nan", "a,b"]),
     "--tol": (["1e-10", "1e-6"], ["1e-17", "1", "x"]),
-    "--mu": (["0", "-1,0,1", "0:1:0.25"], ["0:1:1e-12", "1:0:0.5", "0:1", "nan", "x"]),
-    "--beta-grid": (["0.5", "0,0.9", "0:0.3:0.1"], ["0.5,1", "0:1:1e-12", "nan", "x"]),
+    "--mu": (["0", "-1,0,1", "0:1:0.25"], ["0:1:1e-12", "1:0:0.5", "0:1", "nan", ",", "x"]),
+    "--beta-grid": (["0.5", "0,0.9", "0:0.3:0.1"], ["0.5,1", "0:1:1e-12", "nan", ",", "x"]),
     "--samples": (["1", "3"], ["0", "-1", "x"]),
     "--atoms": (["1", "4"], ["0", "10000000000000", "x"]),
     "--seed": (["0", "7"], ["-3", "x"]),

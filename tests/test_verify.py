@@ -269,6 +269,12 @@ class TestChecks:
         assert reports["log_diff_lower"].rhs == pytest.approx(-5.0 / 12.0, abs=1e-12)
         assert reports["log_diff_lower"].passed
 
+    def test_bohr_rejects_a_member_of_another_beta(self):
+        # The id and both sides once came from the member's beta alone.
+        problem = RadiusProblem(Variant.BOHR_SCHWARZ, BetaParam(0.7), m=2)
+        with pytest.raises(ValueError, match="beta"):
+            check_bohr(ClassMember.extremal(0.2), problem, 0.3)
+
     def test_bound_report_semantics(self):
         good = BoundReport("x", lhs=1.0, rhs=1.0 + 1e-12, witness="w")
         bad = BoundReport("x", lhs=1.0, rhs=1.0 - 1e-3, witness="w")
@@ -294,9 +300,9 @@ class TestSweep:
         assert a == b
 
     def test_empty_grid(self):
-        summary = falsification_sweep([], VerifyConfig(samples=5))
-        assert summary.records == ()
-        assert summary.all_pass
+        # An empty grid checks nothing; it once reported all_pass.
+        with pytest.raises(ValueError, match="^beta_grid: "):
+            falsification_sweep([], VerifyConfig(samples=5))
 
     def test_radius_checks_kept_when_the_root_is_below_the_offset(self):
         # At beta = 0.999 the Bohr radius (5.0e-4) is below the 1e-3 offset:
