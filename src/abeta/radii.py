@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from .extremal import (
@@ -110,6 +111,8 @@ class RadiusProblem:
         object.__setattr__(self, "beta", beta)
         if self.m < 1:
             raise ValueError(f"m: must be a positive integer, got {self.m}")
+        if self.m > sys.float_info.max:  # r ** m needs m as a double
+            raise ValueError(f"m: must not exceed the largest double, {sys.float_info.max!r}")
         if not 0 < self.p < math.inf:
             raise ValueError(f"p: must be positive and finite, got {self.p}")
         if self.N < 1:

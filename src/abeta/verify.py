@@ -7,10 +7,11 @@ coefficients.  Positivity of the real part is exact by construction, so
 any inequality violation beyond numerical slack falsifies the
 implementation (or the inequality).
 
-Each inequality has one evaluator, which works on rows of member
-coefficients (one row per member).  :func:`check_bohr`,
-:func:`check_coefficient_bounds` and :func:`check_fs_and_log_bounds` call
-it with one row; :func:`falsification_sweep` calls it on blocks of sampled
+The inequalities come in families, each built once per beta as check ids,
+a witness and one evaluator on rows of member coefficients (one row per
+member).  :func:`check_bohr`, :func:`check_coefficient_bounds` and
+:func:`check_fs_and_log_bounds` evaluate a family on a member's one row;
+:func:`falsification_sweep` evaluates every family on blocks of sampled
 members.
 """
 
@@ -69,18 +70,20 @@ class HerglotzMeasure:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
-        t = np.asarray(self.angles, dtype=float) % TWO_PI
+        t = np.asarray(self.angles, dtype=float)
         if w.size == 0 or w.size != t.size:
             raise ValueError("need at least one atom and matching weight/angle counts")
+        if not (np.isfinite(w).all() and np.isfinite(t).all()):
+            raise ValueError("weights and angles must be finite")
         if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "angles", t)
+        object.__setattr__(self, "angles", t % TWO_PI)
 
     @classmethod
-    def point_mass(cls, angle: float = 0.0) -> "HerglotzMeasure":
-        """Single atom; at angle 0 it generates c_n = 2 for all n."""
-        return cls(np.array([1.0]), np.array([float(angle)]))
+    def point_mass(cls) -> "HerglotzMeasure":
+        """Single atom at angle 0, generating c_n = 2 for all n."""
+        return cls(np.array([1.0]), np.array([0.0]))
 
     @classmethod
     def two_atom_pm(cls) -> "HerglotzMeasure":
@@ -199,9 +202,15 @@ def _sample_rows(atoms: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarr
 def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Caratheodory coefficients c_0 = 1, c_n = 2 sum_j w_j e^{i n theta_j},
     n = 1..order."""
-    c = np.empty(order + 1, dtype=complex)
-    c[0] = 1.0
-    c[1:] = _herglotz_coefficients(mu.weights[None], mu.angles[None], order)[0]
+    return _caratheodory_rows(mu.weights[None], mu.angles[None], order)[0]
+
+
+def _caratheodory_rows(weights: np.ndarray, angles: np.ndarray, order: int) -> np.ndarray:
+    """Rows c_0..c_order of the measures with these weights and angles
+    (rows x atoms), one row per measure."""
+    c = np.empty((len(weights), order + 1), dtype=complex)
+    c[:, 0] = 1.0
+    c[:, 1:] = _herglotz_coefficients(weights, angles, order)
     return c
 
 
@@ -290,13 +299,12 @@ class ClassMember:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one inequality check: pass iff rhs - lhs >= -slack."""
+    """Outcome of one inequality check: pass iff rhs - lhs >= -DEFAULT_SLACK."""
 
     inequality_id: str
     lhs: float
     rhs: float
     witness: str
-    slack: float = DEFAULT_SLACK
 
     @property
     def margin(self) -> float:
@@ -304,13 +312,13 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.margin >= -self.slack
+        return self.margin >= -DEFAULT_SLACK
 
 
-# A family of checks over rows of member coefficients: the check ids and
-# lhs, rhs arrays that broadcast to (rows x ids); check k holds on a row
-# iff rhs - lhs >= -slack there.
-_Checks = tuple[list[str], np.ndarray, np.ndarray]
+# A family of checks, built once per beta: the check ids, the witness, and
+# evaluate(rows of member coefficients) -> (lhs, rhs), which broadcast to
+# (rows x ids); check k holds on a row iff rhs - lhs >= -slack there.
+_Family = tuple[list[str], str, Callable[[np.ndarray], tuple[np.ndarray, "np.ndarray | float"]]]
 
 
 def _columns(*columns: "np.ndarray | float") -> np.ndarray:
@@ -318,43 +326,32 @@ def _columns(*columns: "np.ndarray | float") -> np.ndarray:
     return np.stack(np.broadcast_arrays(*columns), axis=1)
 
 
-def _coefficient_checks(a: np.ndarray, beta: BetaParam, n_max: int) -> _Checks:
+def _coefficient_family(beta: BetaParam, n_max: int) -> _Family:
     """|a_n| against the sharp coefficient bound, n = 2..n_max."""
     ns = range(2, n_max + 1)
     rhs = np.array([extremal_coeff(n, beta) for n in ns])
-    return [f"coeff[n={n}]" for n in ns], _bounds.complex_modulus(a[:, 1:n_max]), rhs
+    ids = [f"coeff[n={n}]" for n in ns]
+    return ids, f"beta={beta.value:g}", lambda a: (_bounds.complex_modulus(a[:, 1:n_max]), rhs)
 
 
-def _fs_and_log_checks(a: np.ndarray, beta: BetaParam) -> _Checks:
+def _fs_and_log_family(beta: BetaParam) -> _Family:
     """Fekete-Szego over MU_GRID, then both logarithmic-difference ranges."""
     b = beta.value
-    a2, a3 = a[:, 1], a[:, 2]
-    gamma = _bounds.log_coeffs(a2, a3).moduli_difference
-    inv = _bounds.inverse_log_coeffs(a2, a3).moduli_difference
+    fs_bounds = [_bounds.fekete_szego_bound(mu, b) for mu in MU_GRID]
     lo, hi = _bounds.log_diff_bounds(b)
     lo_i, hi_i = _bounds.inverse_log_diff_bounds(b)
-    ids = [f"fekete_szego[mu={mu:g}]" for mu in MU_GRID] + [
-        "log_diff_upper",
-        "log_diff_lower",
-        "inverse_log_diff_upper",
-        "inverse_log_diff_lower",
-    ]
-    fs = (_bounds.fekete_szego_functional(a2, a3, mu) for mu in MU_GRID)
-    lhs = _columns(*fs, gamma, lo, inv, lo_i)
-    rhs = _columns(
-        *(_bounds.fekete_szego_bound(mu, b) for mu in MU_GRID), hi, gamma, hi_i, inv
-    )
-    return ids, lhs, rhs
+    ids = [f"fekete_szego[mu={mu:g}]" for mu in MU_GRID]
+    ids += [f"{log}_diff_{side}" for log in ("log", "inverse_log") for side in ("upper", "lower")]
 
+    def evaluate(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a2, a3 = a[:, 1], a[:, 2]
+        gamma = _bounds.log_coeffs(a2, a3).moduli_difference
+        inv = _bounds.inverse_log_coeffs(a2, a3).moduli_difference
+        fs = (_bounds.fekete_szego_functional(a2, a3, mu) for mu in MU_GRID)
+        lhs = _columns(*fs, gamma, lo, inv, lo_i)
+        return lhs, _columns(*fs_bounds, hi, gamma, hi_i, inv)
 
-def _reports(checks: _Checks, witness: str, slack: float) -> list[BoundReport]:
-    """One report per check of a one-row family."""
-    ids, lhs, rhs = checks
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
-    return [
-        BoundReport(check_id, float(l), float(r), witness, slack)
-        for check_id, l, r in zip(ids, lhs[0], rhs[0])
-    ]
+    return ids, f"beta={b:g}", evaluate
 
 
 def _normalized_area_rows(a: np.ndarray, r: float) -> np.ndarray:
@@ -372,18 +369,15 @@ def _coefficient_tail_bound(beta: BetaParam, order: int, r: float) -> float:
     return tail
 
 
-# Rows of member coefficients -> one majorant value per row.
-_Majorant = Callable[[np.ndarray], np.ndarray]
-
-
-def _majorant(problem: RadiusProblem, order: int, r: float) -> _Majorant:
+def _radius_family(problem: RadiusProblem, order: int, r: float) -> _Family:
     """The problem's Bohr (sum from n = 2) or Bohr-Rogosinski (sum from n = N)
-    majorant at |z| = r with w_n(z) = z^n, as a map from rows of member
-    coefficients a_1..a_{order+1} to lead + sum_n |a_n| r^n + tail +
-    F(S_r/pi), where tail bounds the terms beyond the truncation order.
+    majorant at |z| = r with w_n(z) = z^n against the level -f(-1).
 
-    The Bohr lead is r^{mp}; the Rogosinski lead bounds |f(z^m)|^p by the
-    sharp growth estimate at r^m, the estimate the radius equations use.
+    The majorant of rows of member coefficients a_1..a_{order+1} is
+    lead + sum_n |a_n| r^n + tail + F(S_r/pi), where tail bounds the terms
+    beyond the truncation order.  The Bohr lead is r^{mp}; the Rogosinski
+    lead bounds |f(z^m)|^p by the sharp growth estimate at r^m, the
+    estimate the radius equations use.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -394,33 +388,28 @@ def _majorant(problem: RadiusProblem, order: int, r: float) -> _Majorant:
     else:
         start, lead = problem.N, eval_extremal(r ** m, beta) ** p
     powers = r ** np.arange(start, order + 2, dtype=float)
+    level = -extremal_at_minus_one(beta)
 
-    def majorant(a: np.ndarray) -> np.ndarray:
+    def evaluate(a: np.ndarray) -> tuple[np.ndarray, float]:
         body = np.sum(np.abs(a[:, start - 1 :]) * powers, axis=1)
         value = lead + (body + tail)
-        if F.is_zero:
-            return value  # F(S_r/pi) = 0: the area is not needed
-        return value + F(_normalized_area_rows(a, r))
+        if not F.is_zero:  # F(S_r/pi) = 0 otherwise: the area is not needed
+            value = value + F(_normalized_area_rows(a, r))
+        return value[:, None], level
 
-    return majorant
-
-
-def _radius_check(
-    problem: RadiusProblem, order: int, at: float
-) -> tuple[str, str, _Majorant, float]:
-    """Id, witness, majorant and level -f(-1) of the problem's check at `at`."""
-    beta = problem.beta
-    return (
-        f"{problem.variant.value}[beta={beta.value:g},m={problem.m},p={problem.p:g},N={problem.N}]",
-        f"r={at!r}, mode=monomial",
-        _majorant(problem, order, at),
-        -extremal_at_minus_one(beta),
-    )
+    check_id = f"{problem.variant.value}[beta={beta.value:g},m={m},p={p:g},N={problem.N}]"
+    return [check_id], f"r={r!r}, mode=monomial", evaluate
 
 
-def check_bohr(
-    member: ClassMember, problem: RadiusProblem, at: float, slack: float = DEFAULT_SLACK
-) -> BoundReport:
+def _reports(family: _Family, member: ClassMember) -> list[BoundReport]:
+    """One report per check of the family on the member's single row."""
+    ids, witness, evaluate = family
+    lhs, rhs = np.broadcast_arrays(*evaluate(member.a[None]))
+    checks = zip(ids, lhs[0].tolist(), rhs[0].tolist())
+    return [BoundReport(check_id, l, r, witness) for check_id, l, r in checks]
+
+
+def check_bohr(member: ClassMember, problem: RadiusProblem, at: float) -> BoundReport:
     """Compare the problem's majorant at radius `at` against -f(-1).
 
     -f(-1) is the proven lower bound for the distance from the origin to
@@ -432,26 +421,19 @@ def check_bohr(
         raise ValueError(f"at must lie in (0, 1), got {at}")
     if member.beta != problem.beta:
         raise ValueError(f"member beta {member.beta.value} != problem beta {problem.beta.value}")
-    check_id, witness, majorant, rhs = _radius_check(problem, member.order, at)
-    return BoundReport(check_id, float(majorant(member.a[None])[0]), rhs, witness, slack)
+    return _reports(_radius_family(problem, member.order, at), member)[0]
 
 
-def check_coefficient_bounds(
-    member: ClassMember, n_max: int, slack: float = DEFAULT_SLACK
-) -> list[BoundReport]:
+def check_coefficient_bounds(member: ClassMember, n_max: int) -> list[BoundReport]:
     """|a_n| against the sharp coefficient bound, one report per n in [2, n_max]."""
     if n_max > member.a.size:
         raise ValueError(f"n_max = {n_max} exceeds truncation order {member.order}")
-    checks = _coefficient_checks(member.a[None], member.beta, n_max)
-    return _reports(checks, f"beta={member.beta.value:g}", slack)
+    return _reports(_coefficient_family(member.beta, n_max), member)
 
 
-def check_fs_and_log_bounds(
-    member: ClassMember, slack: float = DEFAULT_SLACK
-) -> list[BoundReport]:
+def check_fs_and_log_bounds(member: ClassMember) -> list[BoundReport]:
     """Fekete-Szego over MU_GRID plus both logarithmic-difference ranges."""
-    checks = _fs_and_log_checks(member.a[None], member.beta)
-    return _reports(checks, f"beta={member.beta.value:g}", slack)
+    return _reports(_fs_and_log_family(member.beta), member)
 
 
 @dataclass(frozen=True)
@@ -501,14 +483,6 @@ class SweepSummary:
         return all(rec.max_violation <= self.slack for rec in self.records)
 
 
-def _caratheodory_rows(atoms: int, seeds: range, order: int) -> np.ndarray:
-    """Rows c_0..c_order of the sampled measures, one row per seed."""
-    c = np.empty((len(seeds), order + 1), dtype=complex)
-    c[:, 0] = 1.0
-    c[:, 1:] = _herglotz_coefficients(*_sample_rows(atoms, seeds), order)
-    return c
-
-
 def _fold_block(
     worst: dict[str, list],
     ids: list[str],
@@ -543,15 +517,16 @@ def falsification_sweep(
     ``sample_measure(config.atoms, seed)`` with
     ``seed = config.seed * 1_000_003 + gi * 100_003 + si``, and each witness
     names that seed.  Records are merged in grid order, so identical inputs
-    produce identical summaries.  Members are checked in blocks: one array
-    expression per inequality family and block.
+    produce identical summaries.  Each inequality family is built once per
+    beta and evaluated on blocks of members: one array expression per
+    family and block.
     """
     if len(beta_grid) == 0:
         raise ValueError("beta_grid: must hold at least one beta")
     worst: dict[str, list] = {}  # id -> [max violation, witness, checks]
     for gi, beta in enumerate(beta_grid):
         bp = BetaParam(float(beta))
-        radius_checks = []
+        families = [_coefficient_family(bp, N_MAX), _fs_and_log_family(bp)]
         for problem in (
             RadiusProblem(Variant.BOHR_SCHWARZ, bp, m=1, p=1.0),
             RadiusProblem(Variant.BOHR_ROGOSINSKI, bp, m=1, p=1.0, N=ROGOSINSKI_N),
@@ -559,16 +534,15 @@ def falsification_sweep(
             # Just inside the root; half of it for roots below twice the offset.
             root = solve_radius(problem).root
             at = root - min(RADIUS_OFFSET, 0.5 * root)
-            radius_checks.append(_radius_check(problem, DEFAULT_ORDER, at))
+            families.append(_radius_family(problem, DEFAULT_ORDER, at))
         first_seed = config.seed * 1_000_003 + gi * 100_003
         for start in range(0, config.samples, _BLOCK):
             seeds = range(first_seed + start, first_seed + min(start + _BLOCK, config.samples))
-            c = _caratheodory_rows(config.atoms, seeds, DEFAULT_ORDER)
+            c = _caratheodory_rows(*_sample_rows(config.atoms, seeds), DEFAULT_ORDER)
             a = caratheodory_to_member(c, bp)
-            for ids, lhs, rhs in (_coefficient_checks(a, bp, N_MAX), _fs_and_log_checks(a, bp)):
-                _fold_block(worst, ids, lhs - rhs, f"beta={bp.value:g}", seeds)
-            for check_id, witness, majorant, rhs in radius_checks:
-                _fold_block(worst, [check_id], majorant(a)[:, None] - rhs, witness, seeds)
+            for ids, witness, evaluate in families:
+                lhs, rhs = evaluate(a)
+                _fold_block(worst, ids, lhs - rhs, witness, seeds)
     records = tuple(
         InequalityRecord(check_id, v, w, n) for check_id, (v, w, n) in worst.items()
     )

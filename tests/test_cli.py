@@ -174,6 +174,9 @@ class TestRadiusCommand:
             (("sweep", "--beta-grid", "0.5", "--N", "0"), "--N"),
             (("verify", "--beta-grid", "0.5,1", "--samples", "1"), "--beta-grid"),
             (("verify", "--beta", "0", "--samples", "1", "--seed", "-3"), "--seed"),
+            # m beyond a double once overflowed in the radius equation.
+            (("radius", "--beta", "0.5", "--m", str(10**400)), "--m"),
+            (("rogosinski", "--beta", "0.5", "--m", str(10**400)), "--m"),
         ],
     )
     def test_invalid_field_is_one_error_line_naming_its_flag(self, argv, flag):
@@ -645,6 +648,45 @@ GOLDEN_STDOUT = {
         "  ]\n"
         "}\n"
     ),
+    # Two betas, 65 = 64 + 1 samples: the family fold order, checks summed
+    # across betas, and a block boundary.
+    ("verify", "--beta-grid", "0,0.9", "--samples", "65", "--atoms", "3", "--seed", "7",
+     "--out-format", "csv"): (
+        "id,max_violation,witness,checks,pass\r\n"
+        'coeff[n=2],-0.011468523936108088,"beta=0.9, seed=7100077",130,true\r\n'
+        'coeff[n=3],-0.005111782116462682,"beta=0, seed=7000048",130,true\r\n'
+        'coeff[n=4],-0.0036262638544535264,"beta=0, seed=7000053",130,true\r\n'
+        'coeff[n=5],-0.00038936808025580305,"beta=0, seed=7000050",130,true\r\n'
+        'coeff[n=6],-0.00016101884467534244,"beta=0, seed=7000081",130,true\r\n'
+        'coeff[n=7],-0.0005682461233685876,"beta=0, seed=7000039",130,true\r\n'
+        'coeff[n=8],-0.0039200021736851554,"beta=0.9, seed=7100028",130,true\r\n'
+        'coeff[n=9],-0.00086479819293253102,"beta=0, seed=7000050",130,true\r\n'
+        'coeff[n=10],-0.0027637450050430057,"beta=0, seed=7000080",130,true\r\n'
+        'coeff[n=11],-0.00035071254974061716,"beta=0, seed=7000081",130,true\r\n'
+        'coeff[n=12],-0.00296770277363545,"beta=0.9, seed=7100065",130,true\r\n'
+        'coeff[n=13],-0.0010164999328882152,"beta=0, seed=7000040",130,true\r\n'
+        'coeff[n=14],-0.0010211407814754159,"beta=0, seed=7000066",130,true\r\n'
+        'coeff[n=15],-0.0024974653182122664,"beta=0.9, seed=7100044",130,true\r\n'
+        'coeff[n=16],-0.00038768185233463426,"beta=0, seed=7000076",130,true\r\n'
+        'coeff[n=17],-0.00028711760633842731,"beta=0, seed=7000062",130,true\r\n'
+        'coeff[n=18],-0.00038111807956932309,"beta=0, seed=7000035",130,true\r\n'
+        'coeff[n=19],-0.0012368353387319925,"beta=0, seed=7000051",130,true\r\n'
+        'coeff[n=20],-8.3667695609287995e-05,"beta=0, seed=7000051",130,true\r\n'
+        'fekete_szego[mu=-2],-0.08268624940331426,"beta=0, seed=7000051",130,true\r\n'
+        'fekete_szego[mu=-1],-0.057855079779254304,"beta=0, seed=7000051",130,true\r\n'
+        'fekete_szego[mu=0],-0.005111782116462682,"beta=0, seed=7000048",130,true\r\n'
+        'fekete_szego[mu=0.5],-0.012031027158685093,"beta=0, seed=7000048",130,true\r\n'
+        'fekete_szego[mu=1],-0.018929560931450484,"beta=0, seed=7000048",130,true\r\n'
+        'fekete_szego[mu=2],-0.016635587216221159,"beta=0, seed=7000051",130,true\r\n'
+        'log_diff_upper,-0.068580956694138384,"beta=0, seed=7000048",130,true\r\n'
+        'log_diff_lower,-0.0057020423562587075,"beta=0.9, seed=7100077",130,true\r\n'
+        'inverse_log_diff_upper,-0.075468800412464898,"beta=0, seed=7000048",130,true\r\n'
+        'inverse_log_diff_lower,-0.077238214600399091,"beta=0, seed=7000046",130,true\r\n'
+        '"bohr[beta=0,m=1,p=1,N=1]",-0.0041385492703469584,"r=0.2841940876622407, mode=monomial, seed=7000051",65,true\r\n'
+        '"rogosinski[beta=0,m=1,p=1,N=2]",-0.0037770094117552944,"r=0.24275492842622712, mode=monomial, seed=7000051",65,true\r\n'
+        '"bohr[beta=0.9,m=1,p=1,N=1]",-0.001202597866129182,"r=0.04477768414484444, mode=monomial, seed=7100077",65,true\r\n'
+        '"rogosinski[beta=0.9,m=1,p=1,N=2]",-0.0013500161592101406,"r=0.04181613481087239, mode=monomial, seed=7100077",65,true\r\n'
+    ),
     ("sweep", "--beta-grid", "0,0.5", "--m", "1,2", "--variant", "both", "--out-format", "csv"): (
         "beta,m,p,N,variant,root,residual,iterations\r\n"
         "0,1,1,1,bohr,0.28519408766224069,4.4853398772914943e-11,8\r\n"
@@ -815,7 +857,7 @@ class TestParserReuse:
 # Values each flag may take in the fuzz test: (valid, malformed).
 FUZZ_VALUES = {
     "--beta": (["0", "0.5", "0.9", "0.999"], ["1", "1.5", "-0.1", "nan", "x"]),
-    "--m": (["1", "3"], ["0", "1.5", "1,2", ",", "x"]),
+    "--m": (["1", "3"], ["0", "1.5", "1,2", ",", str(10**400), "x"]),
     "--p": (["0.5", "1", "2"], ["0", "-1", "inf", "1e-9", ",", "x"]),
     "--N": (["1", "3", "50"], ["0", "1,2", ",", "x"]),
     "--poly": (["0.1", "0.2,0.05", ""], ["-1", "nan", "a,b"]),

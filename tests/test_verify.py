@@ -71,6 +71,12 @@ class TestHerglotzMeasure:
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             HerglotzMeasure(np.array([0.4, 0.4]), np.array([0.0, 1.0]))
+        # Non-finite atoms once built members whose checks read nan.
+        for weights, angles in (
+            ([math.nan], [0.0]), ([1.0], [math.inf]), ([0.5, 0.5], [0.0, math.nan])
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                HerglotzMeasure(np.array(weights), np.array(angles))
         with pytest.raises(ValueError):
             sample_measure(0, seed=1)
         with pytest.raises(ValueError):
@@ -449,15 +455,21 @@ class TestWitnesses:
 
     def test_seed_rebuilds_the_witness_member(self):
         config = VerifyConfig(samples=40, atoms=6, seed=21)
-        summary = falsification_sweep([0.25], config)
-        for rec in summary.records:
-            seed = int(rec.witness.rsplit("seed=", 1)[1])
-            member = ClassMember.from_measure(sample_measure(config.atoms, seed), 0.25)
-            reports = check_coefficient_bounds(member, N_MAX)
-            reports += check_fs_and_log_bounds(member)
-            by_id = {r.inequality_id: r for r in reports}
-            if rec.inequality_id in by_id:
-                assert -by_id[rec.inequality_id].margin == rec.max_violation
+        for beta_grid in ([0.25], [0.0, 0.5, 0.9], [0.999]):
+            for rec in falsification_sweep(beta_grid, config).records:
+                seed = int(rec.witness.rsplit("seed=", 1)[1])
+                beta = beta_grid[(seed - config.seed * 1_000_003) // 100_003]
+                member = ClassMember.from_measure(sample_measure(config.atoms, seed), beta)
+                radius = re.fullmatch(r"(bohr|rogosinski)\[.*,N=(\d+)\]", rec.inequality_id)
+                if radius:
+                    problem = RadiusProblem(Variant(radius[1]), member.beta, N=int(radius[2]))
+                    r = float(rec.witness.split(",", 1)[0].removeprefix("r="))
+                    report = check_bohr(member, problem, r)
+                else:
+                    reports = check_coefficient_bounds(member, N_MAX)
+                    reports += check_fs_and_log_bounds(member)
+                    report = {r.inequality_id: r for r in reports}[rec.inequality_id]
+                assert -report.margin == rec.max_violation
 
 
 class TestCertifiedTail:
