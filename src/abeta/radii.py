@@ -184,7 +184,8 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
     0.5 halfway to 1 until a sign change appears, keeping each negative hi
     as the new lo; the equation diverges to +inf as r -> 1, so failure to
     bracket below the cap indicates an evaluation bug, as does any
-    non-finite equation value.  An equation already nonnegative at the
+    non-finite equation value (an overflow, as of f(r^m)^p at large p,
+    counts as +inf).  An equation already nonnegative at the
     first lo raises BracketError: its root, if any, lies below lo, where
     a bracket of width tol would not place it.
     """
@@ -196,7 +197,10 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
     def value(r: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        y = eq(r)
+        try:
+            y = eq(r)
+        except OverflowError:  # a float power beyond the largest double
+            y = math.inf
         if not math.isfinite(y):
             raise BracketError(f"equation value at r = {r!r} is {y}, not finite")
         return y

@@ -104,12 +104,7 @@ def sample_measure(num_atoms: int, seed: int) -> HerglotzMeasure:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     weights, angles = _sample_rows(num_atoms, [seed])
-    # Valid by construction (weights on the simplex, angles in [0, 2pi), on
-    # which % 2pi is the identity), so __post_init__ is not run again.
-    mu = object.__new__(HerglotzMeasure)
-    object.__setattr__(mu, "weights", weights[0])
-    object.__setattr__(mu, "angles", angles[0])
-    return mu
+    return HerglotzMeasure(weights[0], angles[0])
 
 
 # numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.
@@ -205,23 +200,15 @@ def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> 
     return _caratheodory_rows(mu.weights[None], mu.angles[None], order)[0]
 
 
-def _caratheodory_rows(weights: np.ndarray, angles: np.ndarray, order: int) -> np.ndarray:
-    """Rows c_0..c_order of the measures with these weights and angles
-    (rows x atoms), one row per measure."""
-    c = np.empty((len(weights), order + 1), dtype=complex)
-    c[:, 0] = 1.0
-    c[:, 1:] = _herglotz_coefficients(weights, angles, order)
-    return c
-
-
 # Complex entries of the (rows x order x atoms) exponentials built at once:
 # a 64-sample block of the default sweep (order 64, 4 atoms) in one piece,
 # and bounded for large atom counts.
 _PRODUCT_ENTRIES = 1 << 14
 
 
-def _herglotz_coefficients(weights: np.ndarray, angles: np.ndarray, order: int) -> np.ndarray:
-    """c_1..c_order of each row of weights and angles (rows x atoms).
+def _caratheodory_rows(weights: np.ndarray, angles: np.ndarray, order: int) -> np.ndarray:
+    """Rows c_0..c_order of the measures with these weights and angles
+    (rows x atoms), one row per measure.
 
     Each row is its own matrix-vector product, so a row's coefficients do
     not depend on the rows beside it or on how many rows are computed
@@ -230,11 +217,12 @@ def _herglotz_coefficients(weights: np.ndarray, angles: np.ndarray, order: int) 
     rows, atoms = weights.shape
     n = np.arange(1, order + 1, dtype=float)[:, None]
     step = max(1, _PRODUCT_ENTRIES // (order * atoms))
-    c = np.empty((rows, order), dtype=complex)
+    c = np.empty((rows, order + 1), dtype=complex)
+    c[:, 0] = 1.0
     for start in range(0, rows, step):
         w, t = weights[start : start + step], angles[start : start + step]
         product = np.exp(1j * (n * t[:, None, :])) @ w[..., None]
-        c[start : start + step] = 2.0 * product[..., 0]
+        c[start : start + step, 1:] = 2.0 * product[..., 0]
     return c
 
 
@@ -384,7 +372,7 @@ def _radius_family(problem: RadiusProblem, order: int, r: float) -> _Family:
     beta, m, p, F = problem.beta, problem.m, problem.p, problem.F
     tail = _coefficient_tail_bound(beta, order, r)
     if problem.variant is Variant.BOHR_SCHWARZ:
-        start, lead = 2, (r ** m) ** p
+        start, lead = 2, r ** (p * m)
     else:
         start, lead = problem.N, eval_extremal(r ** m, beta) ** p
     powers = r ** np.arange(start, order + 2, dtype=float)
@@ -414,11 +402,9 @@ def check_bohr(member: ClassMember, problem: RadiusProblem, at: float) -> BoundR
 
     -f(-1) is the proven lower bound for the distance from the origin to
     the image boundary, which is exactly the level the majorant is
-    guaranteed to stay below inside the radius.  The member must share
-    the problem's beta.
+    guaranteed to stay below inside the radius.  `at` must lie in (0, 1)
+    and the member must share the problem's beta.
     """
-    if not 0.0 < at < 1.0:
-        raise ValueError(f"at must lie in (0, 1), got {at}")
     if member.beta != problem.beta:
         raise ValueError(f"member beta {member.beta.value} != problem beta {problem.beta.value}")
     return _reports(_radius_family(problem, member.order, at), member)[0]

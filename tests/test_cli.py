@@ -199,6 +199,20 @@ class TestRogosinskiCommand:
             roots.append(json.loads(out)["root"])
         assert roots[0] < roots[1] < roots[2]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rogosinski", "--beta", "0.9", "--p", "3000"),
+            ("rogosinski", "--beta", "0.5", "--p", "1e300"),
+            ("sweep", "--beta-grid", "0.9", "--p", "3000", "--variant", "rogosinski"),
+        ],
+    )
+    def test_overflowing_lead_is_one_error_line(self, argv):
+        # f(r^m)^p overflows a double at the first probe r = 0.5.
+        proc = run_process(*argv)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
 
 class TestBoundCommands:
     def test_log_bounds_csv(self, capsys):
@@ -858,7 +872,7 @@ class TestParserReuse:
 FUZZ_VALUES = {
     "--beta": (["0", "0.5", "0.9", "0.999"], ["1", "1.5", "-0.1", "nan", "x"]),
     "--m": (["1", "3"], ["0", "1.5", "1,2", ",", str(10**400), "x"]),
-    "--p": (["0.5", "1", "2"], ["0", "-1", "inf", "1e-9", ",", "x"]),
+    "--p": (["0.5", "1", "2"], ["0", "-1", "inf", "1e-9", "3000", ",", "x"]),
     "--N": (["1", "3", "50"], ["0", "1,2", ",", "x"]),
     "--poly": (["0.1", "0.2,0.05", ""], ["-1", "nan", "a,b"]),
     "--tol": (["1e-10", "1e-6"], ["1e-17", "1", "x"]),

@@ -19,6 +19,7 @@ from abeta.radii import ZERO_POLYNOMIAL, AreaPolynomial, RadiusProblem, Variant,
 from abeta.verify import (
     _BLOCK,
     DEFAULT_ORDER,
+    MAX_ATOMS,
     MU_GRID,
     N_MAX,
     RADIUS_OFFSET,
@@ -27,7 +28,8 @@ from abeta.verify import (
     ClassMember,
     HerglotzMeasure,
     VerifyConfig,
-    _herglotz_coefficients,
+    _caratheodory_rows,
+    _coefficient_tail_bound,
     _pcg64_states,
     _sample_rows,
     check_bohr,
@@ -90,14 +92,23 @@ class TestHerglotzMeasure:
 
     @pytest.mark.parametrize("atoms", [1, 4, 8])
     def test_sampled_measures_need_no_revalidation(self, atoms):
-        # sample_measure skips __post_init__; validating its draws must
-        # neither fail nor change a bit.
+        # Validating a sampled measure again must neither fail nor change
+        # a bit.
         for seed in range(200):
             mu = sample_measure(atoms, seed)
             checked = HerglotzMeasure(mu.weights, mu.angles)
             assert np.array_equal(checked.weights, mu.weights)
             assert np.array_equal(checked.angles, mu.angles)
             assert mu.weights.dtype == mu.angles.dtype == np.float64
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+    def test_largest_measures_pass_validation_unchanged(self, seed):
+        # The constructor's weight-sum check holds at the most atoms, and
+        # % 2pi leaves the drawn angles as they are.
+        mu = sample_measure(MAX_ATOMS, seed)
+        weights, angles = _sample_rows(MAX_ATOMS, [seed])
+        assert _bits(mu.weights) == _bits(weights[0])
+        assert _bits(mu.angles) == _bits(angles[0])
 
     @given(
         atoms=st.integers(min_value=1, max_value=8),
@@ -158,7 +169,7 @@ class TestBlockSampler:
     def test_block_rows_equal_the_one_measure_product(self, atoms):
         # 100 and 300 atoms split the block into chunks of two rows and one.
         seeds = range(2**64 - 40, 2**64 + 40)
-        c = _herglotz_coefficients(*_sample_rows(atoms, seeds), DEFAULT_ORDER)
+        c = _caratheodory_rows(*_sample_rows(atoms, seeds), DEFAULT_ORDER)[:, 1:]
         for row, seed in enumerate(seeds):
             mu = sample_measure(atoms, seed)
             assert _bits(c[row]) == _bits(measure_to_caratheodory(mu)[1:])
@@ -280,6 +291,21 @@ class TestChecks:
         problem = RadiusProblem(Variant.BOHR_SCHWARZ, BetaParam(0.7), m=2)
         with pytest.raises(ValueError, match="beta"):
             check_bohr(ClassMember.extremal(0.2), problem, 0.3)
+
+    @pytest.mark.parametrize("at", [0.0, 1.0, -0.1, math.nan])
+    def test_bohr_rejects_a_radius_outside_the_unit_interval(self, at):
+        problem = RadiusProblem(Variant.BOHR_SCHWARZ, BetaParam(0.3))
+        with pytest.raises(ValueError, match="must lie in"):
+            check_bohr(ClassMember.extremal(0.3), problem, at)
+
+    def test_bohr_lead_is_the_radius_equations(self):
+        # The check's lead r^{pm} once rounded differently from the
+        # equation's, as (r^m)^p.
+        beta, m, p = BetaParam(0.3), 3, 0.7
+        problem = RadiusProblem(Variant.BOHR_SCHWARZ, beta, m=m, p=p)
+        r = solve_radius(problem).root
+        lhs = check_bohr(identity_member(beta, DEFAULT_ORDER), problem, r).lhs
+        assert lhs == r ** (p * m) + (0.0 + _coefficient_tail_bound(beta, DEFAULT_ORDER, r))
 
     def test_bound_report_semantics(self):
         good = BoundReport("x", lhs=1.0, rhs=1.0 + 1e-12, witness="w")
