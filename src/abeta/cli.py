@@ -198,7 +198,7 @@ def _cmd_radius(args: argparse.Namespace) -> int:
         N=args.N,
         F=_poly(args.poly),
     )
-    _write(args, _root_document(problem, solve_radius(problem, args.tol)))
+    _write(args, _root_document(problem, _validated(solve_radius, problem=problem, tol=args.tol)))
     return 0
 
 
@@ -276,7 +276,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for beta, m, p, n, variant in itertools.product(betas, ms, ps, ns, variants):
         problem = _validated(RadiusProblem, variant=variant, beta=beta, m=m, p=p, N=n)
-        doc = _root_document(problem, solve_radius(problem, args.tol))
+        doc = _root_document(problem, _validated(solve_radius, problem=problem, tol=args.tol))
         rows.append({key: doc[key] for key in SWEEP_HEADER})
     _write(args, None, rows)
     return 0

@@ -125,19 +125,23 @@ class RadiusProblem:
         """f(-1) of the extremal function, the same at every r."""
         return extremal_at_minus_one(self.beta)
 
-    def equation(self, r: float) -> float:
-        """lead(r) + f(r) - head(r) + F(area bound at r) + f(-1).
-
-        Bohr: lead = r^{pm} and head = r.  Rogosinski: lead = f(r^m)^p and
-        head = hat_f(r), the initial section removed from the majorant.
-        """
+    def lead(self, r: float) -> float:
+        """r^{pm} (Bohr) or f(r^m)^p (Rogosinski) at |z| = r; +inf past the largest double."""
         if not 0.0 < r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {r}")
-        beta = self.beta
         if self.variant is Variant.BOHR_SCHWARZ:
-            lead, head = r ** (self.p * self.m), r
-        else:
-            lead, head = eval_extremal(r ** self.m, beta) ** self.p, hat_f(self.N, beta, r)
+            return r ** (self.p * self.m)
+        try:
+            return eval_extremal(r ** self.m, self.beta) ** self.p
+        except OverflowError:  # a float power beyond the largest double
+            return math.inf
+
+    def equation(self, r: float) -> float:
+        """lead(r) + f(r) - head(r) + F(area bound at r) + f(-1), where head is
+        r (Bohr) or hat_f(r), the section removed from the Rogosinski majorant."""
+        beta = self.beta
+        lead = self.lead(r)
+        head = r if self.variant is Variant.BOHR_SCHWARZ else hat_f(self.N, beta, r)
         # F == 0 skips the area bound, whose F value is 0 anyway.
         area = 0.0 if self.F.is_zero else self.F(area_majorant(r, beta))
         return lead + eval_extremal(r, beta) - head + area + self._f_minus_one
@@ -183,25 +187,24 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
     The initial bracket starts at lo = min(tol, 1e-6) and moves hi from
     0.5 halfway to 1 until a sign change appears, keeping each negative hi
     as the new lo; the equation diverges to +inf as r -> 1, so failure to
-    bracket below the cap indicates an evaluation bug, as does any
-    non-finite equation value (an overflow, as of f(r^m)^p at large p,
-    counts as +inf).  An equation already nonnegative at the
-    first lo raises BracketError: its root, if any, lies below lo, where
-    a bracket of width tol would not place it.
+    bracket below the cap indicates an evaluation bug.  An hi where the
+    equation is +inf (a lead beyond the largest double, see
+    RadiusProblem.lead) is then bisected down to a finite one, each
+    negative midpoint becoming lo; any other non-finite value, or +inf
+    anywhere else, raises BracketError.  An equation already nonnegative
+    at the first lo raises BracketError: its root, if any, lies below lo,
+    where a bracket of width tol would not place it.
     """
     if not _MIN_TOL <= tol <= _MAX_TOL:
-        raise ValueError(f"tol must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
+        raise ValueError(f"tol: must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
     eq = problem.equation
     evaluations = 0
 
-    def value(r: float) -> float:
+    def value(r: float, inf_ok: bool = False) -> float:
         nonlocal evaluations
         evaluations += 1
-        try:
-            y = eq(r)
-        except OverflowError:  # a float power beyond the largest double
-            y = math.inf
-        if not math.isfinite(y):
+        y = eq(r)
+        if not (math.isfinite(y) or (inf_ok and y == math.inf)):
             raise BracketError(f"equation value at r = {r!r} is {y}, not finite")
         return y
 
@@ -214,7 +217,7 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
         )
 
     hi = 0.5
-    fhi = value(hi)
+    fhi = value(hi, inf_ok=True)
     while fhi <= 0.0:
         if hi >= _UPPER_CAP:
             raise BracketError(
@@ -223,7 +226,16 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
         if fhi < 0.0:
             lo, flo = hi, fhi
         hi = min(1.0 - 0.5 * (1.0 - hi), _UPPER_CAP)
-        fhi = value(hi)
+        fhi = value(hi, inf_ok=True)
+    while fhi == math.inf:
+        if hi - lo <= tol:
+            raise BracketError(f"equation is +inf down to r = {hi!r}: no finite bracket")
+        x = 0.5 * (lo + hi)
+        fx = value(x, inf_ok=True)
+        if fx < 0.0:
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
 
     # Chandrupatla's hybrid (Adv. Eng. Software 28(3), 1997): a is the
     # latest point, b the other end of the bracket and c the point a or b
@@ -240,6 +252,15 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
     t = fa / (fa - fb)
     halved_at, stalled = hi - lo, 0
     while True:
+        if fa == 0.0:  # an exact zero, from a bisection or a step
+            lo, hi = a - inset, a + inset
+            flo, fhi = value(lo), value(hi)
+            if not flo < 0.0 < fhi:
+                raise BracketError(
+                    f"no sign change around the exact zero at r = {a!r}: "
+                    f"values {flo} and {fhi}"
+                )
+            break
         lo, hi = min(a, b), max(a, b)
         if hi - lo <= tol:
             break
@@ -250,15 +271,6 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
             x = a + min(max(t, tl), 1.0 - tl) * (b - a)
         x = min(max(x, lo + inset), hi - inset)
         fx = value(x)
-        if fx == 0.0:
-            lo, hi = x - inset, x + inset
-            flo, fhi = value(lo), value(hi)
-            if not flo < 0.0 < fhi:
-                raise BracketError(
-                    f"no sign change around the exact zero at r = {x!r}: "
-                    f"values {flo} and {fhi}"
-                )
-            break
         if (fx < 0.0) == (fa < 0.0):
             c, fc = a, fa
         else:

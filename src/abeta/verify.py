@@ -28,7 +28,7 @@ from . import bounds as _bounds
 from .extremal import (
     BetaParam,
     beta_value,
-    eval_extremal,
+    eval_extremal,  # unused here; bench/tracing.py wraps it under this name
     extremal_at_minus_one,
     extremal_coeff,
 )
@@ -363,18 +363,14 @@ def _radius_family(problem: RadiusProblem, order: int, r: float) -> _Family:
 
     The majorant of rows of member coefficients a_1..a_{order+1} is
     lead + sum_n |a_n| r^n + tail + F(S_r/pi), where tail bounds the terms
-    beyond the truncation order.  The Bohr lead is r^{mp}; the Rogosinski
-    lead bounds |f(z^m)|^p by the sharp growth estimate at r^m, the
-    estimate the radius equations use.
+    beyond the truncation order.  The lead is the radius equation's,
+    RadiusProblem.lead: r^{mp}, or the sharp growth bound f(r^m)^p, which
+    reads +inf beyond the largest double and so fails the check.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
+    lead = problem.lead(r)
     beta, m, p, F = problem.beta, problem.m, problem.p, problem.F
     tail = _coefficient_tail_bound(beta, order, r)
-    if problem.variant is Variant.BOHR_SCHWARZ:
-        start, lead = 2, r ** (p * m)
-    else:
-        start, lead = problem.N, eval_extremal(r ** m, beta) ** p
+    start = 2 if problem.variant is Variant.BOHR_SCHWARZ else problem.N
     powers = r ** np.arange(start, order + 2, dtype=float)
     level = -extremal_at_minus_one(beta)
 

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import abeta
 from abeta import cli
 from abeta.cli import CliError, main, parse_grid
+from abeta.extremal import BetaParam
+from abeta.radii import RadiusProblem, Variant, solve_radius
 
 FS_B0_ROOT = 0.28519408762  # independent bisection value, beta=0, m=1
 
@@ -177,6 +179,9 @@ class TestRadiusCommand:
             # m beyond a double once overflowed in the radius equation.
             (("radius", "--beta", "0.5", "--m", str(10**400)), "--m"),
             (("rogosinski", "--beta", "0.5", "--m", str(10**400)), "--m"),
+            (("radius", "--beta", "0", "--tol", "inf"), "--tol"),
+            (("sweep", "--beta-grid", "0.1", "--tol", "1"), "--tol"),
+            (("rogosinski", "--beta", "0.2", "--tol", "1e-20"), "--tol"),
         ],
     )
     def test_invalid_field_is_one_error_line_naming_its_flag(self, argv, flag):
@@ -207,11 +212,22 @@ class TestRogosinskiCommand:
             ("sweep", "--beta-grid", "0.9", "--p", "3000", "--variant", "rogosinski"),
         ],
     )
-    def test_overflowing_lead_is_one_error_line(self, argv):
-        # f(r^m)^p overflows a double at the first probe r = 0.5.
+    def test_overflowing_lead_returns_a_certified_root(self, argv):
+        # f(r^m)^p overflows a double at the first probe r = 0.5; the
+        # solver bisects below it to a finite bracket.
         proc = run_process(*argv)
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.returncode == 0 and proc.stderr == ""
+        if argv[0] == "sweep":
+            (row,) = csv.DictReader(io.StringIO(proc.stdout))
+        else:
+            row = json.loads(proc.stdout)
+        beta, p = BetaParam(float(argv[2])), float(argv[4])
+        problem = RadiusProblem(Variant.BOHR_ROGOSINSKI, beta, p=p)
+        res = solve_radius(problem)
+        assert float(row["root"]) == res.root
+        assert int(row["iterations"]) == res.iterations <= 12
+        lo, hi = res.bracket
+        assert problem.equation(lo) < 0.0 < problem.equation(hi)
 
 
 class TestBoundCommands:
@@ -319,7 +335,7 @@ class TestSweepCommand:
     def test_rejects_tol_wider_than_max(self, capsys):
         code, out, err = run(capsys, "sweep", "--beta-grid", "0.1", "--tol", "inf")
         assert code == 1 and out == ""
-        assert err.startswith("error: tol must lie in") and err.count("\n") == 1
+        assert err.startswith("error: --tol: must lie in") and err.count("\n") == 1
 
     def test_grid_must_exclude_beta_one(self, capsys):
         code, _, err = run(capsys, "sweep", "--beta-grid", "0.5,1.0")
@@ -872,7 +888,7 @@ class TestParserReuse:
 FUZZ_VALUES = {
     "--beta": (["0", "0.5", "0.9", "0.999"], ["1", "1.5", "-0.1", "nan", "x"]),
     "--m": (["1", "3"], ["0", "1.5", "1,2", ",", str(10**400), "x"]),
-    "--p": (["0.5", "1", "2"], ["0", "-1", "inf", "1e-9", "3000", ",", "x"]),
+    "--p": (["0.5", "1", "2", "3000"], ["0", "-1", "inf", "1e-9", ",", "x"]),
     "--N": (["1", "3", "50"], ["0", "1,2", ",", "x"]),
     "--poly": (["0.1", "0.2,0.05", ""], ["-1", "nan", "a,b"]),
     "--tol": (["1e-10", "1e-6"], ["1e-17", "1", "x"]),

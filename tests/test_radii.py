@@ -157,6 +157,27 @@ class TestEquations:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+class TestLead:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
+    def test_equals_the_bound_bit_for_bit(self, beta, m, p):
+        bohr = problem(beta=beta, m=m, p=p)
+        rogosinski = problem(Variant.BOHR_ROGOSINSKI, beta=beta, m=m, p=p)
+        for r in (1e-9, 0.1, 0.5, 0.9):
+            assert bohr.lead(r) == r ** (p * m)
+            assert rogosinski.lead(r) == eval_extremal(r ** m, beta) ** p
+
+    def test_overflow_reads_inf(self):
+        assert problem(Variant.BOHR_ROGOSINSKI, beta=0.9, p=3000.0).lead(0.5) == math.inf
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("r", [0.0, 1.0, -0.1, math.nan])
+    def test_rejects_r_outside_the_unit_interval(self, variant, r):
+        with pytest.raises(ValueError, match="^r must lie in \\(0, 1\\)"):
+            problem(variant).lead(r)
+
+
 def oracle_equation(prob, r):
     """The radius equation with every term recomputed on each call: f(-1),
     the hat_f terms from extremal_coeff and F of the area majorant."""
@@ -314,7 +335,7 @@ class TestSolveRadius:
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 2e-3])
     def test_rejects_tol_above_max(self, tol):
         # A tol as wide as the first bracket would return its midpoint.
-        with pytest.raises(ValueError, match="tol must lie in"):
+        with pytest.raises(ValueError, match="^tol: must lie in"):
             solve_radius(problem(), tol=tol)
 
     def test_general_monotone_functional(self):
@@ -343,6 +364,59 @@ class TestSolveRadius:
 
         with pytest.raises(BracketError, match="not finite"):
             solve_radius(NotFinite(Variant.BOHR_SCHWARZ, BetaParam(0.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_value_at_a_probe_raises(self, bad):
+        # Only +inf is bisected past; the bracket's lo end is finite.
+        class NotFinite(RadiusProblem):
+            def equation(self, r):
+                return -1.0 if r < 0.1 else bad
+
+        with pytest.raises(BracketError, match="not finite"):
+            solve_radius(NotFinite(Variant.BOHR_SCHWARZ, BetaParam(0.0)))
+
+    def test_inf_inside_the_bracket_raises(self):
+        # Finite at both probes, +inf where the first secant step lands.
+        class Pole(RadiusProblem):
+            def equation(self, r):
+                return math.inf if 1e-3 < r < 0.3 else r * r - 0.1
+
+        with pytest.raises(BracketError, match="is inf, not finite"):
+            solve_radius(Pole(Variant.BOHR_SCHWARZ, BetaParam(0.0)))
+
+    @pytest.mark.parametrize(
+        "beta, m, p, N, root, evaluations",
+        [
+            (0.9, 1, 3000.0, 1, 0.04577768419301338, 9),
+            (0.5, 1, 1e300, 1, 0.1783657033881915, 8),
+        ],
+    )
+    def test_overflowing_lead_is_bisected_to_a_certified_root(
+        self, beta, m, p, N, root, evaluations
+    ):
+        prob = problem(Variant.BOHR_ROGOSINSKI, beta=beta, m=m, p=p, N=N)
+        assert prob.lead(0.5) == math.inf
+        res = solve_radius(prob)
+        lo, hi = res.bracket
+        assert prob.equation(lo) < 0.0 < prob.equation(hi) < math.inf
+        assert (res.root, res.iterations) == (root, evaluations)
+
+    def test_exact_zero_at_a_bisection_midpoint(self):
+        tol = 1e-6
+        # +inf at the first probe 0.5; the first midpoint is the zero.
+        zero = 0.5 * (tol + 0.5)
+        seen = {}
+
+        class Step(RadiusProblem):
+            def equation(self, r):
+                seen[r] = math.inf if r > 0.3 else r - zero
+                return seen[r]
+
+        res = solve_radius(Step(Variant.BOHR_SCHWARZ, BetaParam(0.0)), tol)
+        assert seen[zero] == 0.0
+        lo, hi = res.bracket
+        assert seen[lo] < 0 < seen[hi] < math.inf
+        assert lo < res.root < hi and hi - lo <= tol
 
     def test_grid_iterations_and_certificates(self):
         # The acceptance-criterion-3 grid: beta 0-0.9, m 1-3, p 1-2, three F.
@@ -430,6 +504,19 @@ class Adversarial(RadiusProblem):
 res = solve_radius(Adversarial(Variant.BOHR_SCHWARZ, BetaParam(0.0)), float(sys.argv[2]))
 print(json.dumps({"bracket": res.bracket, "root": res.root, "iterations": res.iterations}))
 """
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-14])
+def test_adversarial_inf_above_a_jump_raises(tol):
+    # Negative up to 1e-9 and +inf above: bisection narrows onto the jump
+    # and stops with no finite value at hi.
+    env = dict(os.environ, PYTHONPATH=str(Path(abeta.radii.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", ADVERSARIAL_SOLVE, "-1.0 if r <= 1e-9 else inf", repr(tol)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert "BracketError: equation is +inf down to r = " in done.stderr
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-14])

@@ -307,6 +307,12 @@ class TestChecks:
         lhs = check_bohr(identity_member(beta, DEFAULT_ORDER), problem, r).lhs
         assert lhs == r ** (p * m) + (0.0 + _coefficient_tail_bound(beta, DEFAULT_ORDER, r))
 
+    def test_overflowing_rogosinski_lead_fails_the_check(self):
+        # f(r^m)^p beyond the largest double reads +inf, as in the solver.
+        problem = RadiusProblem(Variant.BOHR_ROGOSINSKI, BetaParam(0.9), p=3000.0)
+        report = check_bohr(ClassMember.extremal(0.9), problem, 0.5)
+        assert report.lhs == math.inf and not report.passed
+
     def test_bound_report_semantics(self):
         good = BoundReport("x", lhs=1.0, rhs=1.0 + 1e-12, witness="w")
         bad = BoundReport("x", lhs=1.0, rhs=1.0 - 1e-3, witness="w")

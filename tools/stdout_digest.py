@@ -11,7 +11,9 @@ digested as the exception's type and message.  The sets:
 - ``verify-atoms``: a 300-sample ``verify`` with 1, 7 and 100 atoms, in CSV
   and JSON;
 - ``verify-readme``: the README's ``verify`` example;
-- ``overflow``: Rogosinski leads f(r^m)^p that overflow a double.
+- ``overflow``: Rogosinski leads f(r^m)^p that overflow a double;
+- ``bad-input``: one rejected command per usage error the README lists,
+  so a changed ``error:`` line shows.
 
 Run it on two checkouts and compare the lines::
 
@@ -48,6 +50,20 @@ OVERFLOW = [
     ["sweep", "--beta-grid", "0.9", "--p", "3000", "--variant", "rogosinski"],
 ]
 
+BAD_INPUT = [
+    ["sweep", "--beta-grid", "0.5,nan"],
+    ["fs-bound", "--beta", "0", "--mu", ","],
+    ["fs-bound", "--beta", "0", "--mu", "0:1:1e-7"],
+    ["fs-bound", "--beta", "0", "--mu", "2e307"],
+    ["radius", "--beta", "0", "--tol", "inf"],
+    ["verify", "--beta", "0", "--samples", "1", "--slack", "nan"],
+    ["verify", "--beta", "0", "--samples", "1", "--seed", "-3"],
+    ["verify", "--beta", "0", "--samples", "0"],
+    ["log-bounds", "--beta", "0", "--out-path", "/"],
+    ["sweep", "--beta-grid", "0.5", "--out-format", "json"],
+    ["radius", "--beta", "0.5", "--m", "3", "--p", "0.01"],
+]
+
 
 def golden_commands(test_cli: Path) -> list[list[str]]:
     """The keys of the GOLDEN_STDOUT literal, read without importing the tests."""
@@ -76,6 +92,7 @@ def command_sets(root: Path) -> dict[str, list[list[str]]]:
         "verify-atoms": VERIFY_ATOMS,
         "verify-readme": VERIFY_README,
         "overflow": OVERFLOW,
+        "bad-input": BAD_INPUT,
     }
 
 
