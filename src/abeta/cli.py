@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from .bounds import fekete_szego_bound, inverse_log_diff_bounds, log_diff_bounds
 from .extremal import BetaDomainError, BetaParam, ConvergenceError
 from .radii import (
+    DEFAULT_TOL,
     AreaPolynomial,
     BracketError,
     RadiusProblem,
@@ -239,13 +240,17 @@ def falsification_sweep(betas: Sequence[float], config: VerifyConfig) -> SweepSu
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import VerifyConfig
 
-    betas = parse_grid(args.beta_grid, "--beta-grid") if args.beta_grid else [args.beta]
+    flag = "--beta-grid" if args.beta_grid else "--beta"
+    betas = parse_grid(args.beta_grid, flag) if args.beta_grid else [args.beta]
     for b in betas:
-        _beta(b, "--beta-grid" if args.beta_grid else "--beta", strict=True)
+        _beta(b, flag, strict=True)
     config = _validated(
         VerifyConfig, samples=args.samples, atoms=args.atoms, seed=args.seed, slack=args.slack
     )
-    summary = falsification_sweep(betas, config)
+    try:
+        summary = falsification_sweep(betas, config)
+    except BracketError as exc:  # names the beta whose radius cannot be solved
+        raise CliError(f"{flag}: {exc}") from exc
     inequalities = [
         {
             "id": rec.inequality_id,
@@ -276,7 +281,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for beta, m, p, n, variant in itertools.product(betas, ms, ps, ns, variants):
         problem = _validated(RadiusProblem, variant=variant, beta=beta, m=m, p=p, N=n)
-        doc = _root_document(problem, _validated(solve_radius, problem=problem, tol=args.tol))
+        try:
+            result = _validated(solve_radius, problem=problem, tol=args.tol)
+        except BracketError as exc:
+            cell = f"beta = {beta.value!r}, m = {m}, p = {p!r}, N = {n}, variant = {variant.value}"
+            raise CliError(f"--beta-grid: {cell}: {exc}") from exc
+        doc = _root_document(problem, result)
         rows.append({key: doc[key] for key in SWEEP_HEADER})
     _write(args, None, rows)
     return 0
@@ -297,7 +307,7 @@ def build_parser() -> _Parser:
         p.add_argument("--m", type=int, default=1)
         p.add_argument("--p", type=float, default=1.0)
         p.add_argument("--poly", default=None, help="comma list of lambda_1..lambda_k")
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("radius", help="solve a Bohr radius equation")
     add_radius_args(p)
@@ -338,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--p", default="1")
     p.add_argument("--N", default="1")
     p.add_argument("--variant", choices=["bohr", "rogosinski", "both"], default="bohr")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_output(p, "csv", formats=("csv",))
     p.set_defaults(func=_cmd_sweep)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .extremal import (
     extremal_at_minus_one,
     extremal_coeff,
 )
-from .radii import RadiusProblem, Variant, solve_radius
+from .radii import BracketError, RadiusProblem, Variant, solve_radius
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,11 +53,11 @@ ROGOSINSKI_N = 2
 # this bound, and far more atoms would fail in numpy's allocator instead.
 MAX_ATOMS = 10_000
 
-# Samples the sweep checks together: enough that numpy's per-call overhead
-# is small next to drawing the samples, few enough that the (block x order)
-# temporaries stay small (with 4 atoms and order 64, 128-sample blocks
-# raised the verify process's peak RSS by ~0.8 MB, 64-sample blocks by
-# ~0.35 MB; x86-64, numpy 2.4).
+# Samples the sweep checks together.  No output depends on it, since sample
+# si is row si of its stream; it trades numpy's per-call overhead against
+# the (block x order) temporaries (with 4 atoms and order 64, 128-sample
+# blocks raised verify's peak RSS by ~0.8 MB, 64-sample ones by ~0.35 MB;
+# x86-64, numpy 2.4).
 _BLOCK = 64
 
 
@@ -91,107 +91,36 @@ class HerglotzMeasure:
         return cls(np.array([0.5, 0.5]), np.array([0.0, math.pi]))
 
 
-def sample_measure(num_atoms: int, seed: int) -> HerglotzMeasure:
-    """Deterministic random measure: simplex-uniform weights, uniform angles.
-
-    The draws are those of ``rng = np.random.default_rng(seed)``, bit for
-    bit: ``rng.dirichlet(np.ones(num_atoms))``, then
-    ``rng.uniform(0, 2 pi, num_atoms)``.
+def sample_measure(num_atoms: int, seed: "int | list[int]", row: int = 0) -> HerglotzMeasure:
+    """Measure `row` of the stream that :func:`_sample_rows` draws from
+    ``np.random.default_rng(seed)``, rebuilt in O(1) by advancing past the
+    rows before it (2 * num_atoms doubles each).  A sweep witness ending in
+    ``seed=[S, gi], row=si`` is ``sample_measure(atoms, [S, gi], si)``.
     """
-    if num_atoms < 1:
-        raise ValueError(f"num_atoms must be >= 1, got {num_atoms}")
-    seed = operator.index(seed)  # numpy integers too, as default_rng takes them
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    weights, angles = _sample_rows(num_atoms, [seed])
+    if not 1 <= num_atoms <= MAX_ATOMS:
+        raise ValueError(f"num_atoms must lie in [1, {MAX_ATOMS}], got {num_atoms}")
+    row = operator.index(row)
+    if row < 0:  # PCG64.advance would step backwards without complaint
+        raise ValueError(f"row must be >= 0, got {row}")
+    if seed is None:  # default_rng(None) would draw fresh entropy
+        raise TypeError("seed must be an int or a sequence of ints, got None")
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(2 * num_atoms * row)
+    weights, angles = _sample_rows(rng, 1, num_atoms)
     return HerglotzMeasure(weights[0], angles[0])
 
 
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 constants.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
-    """SeedSequence's hash constants, step by step: (before, after) the
-    multiply.  They depend on the step alone, not on the entropy."""
-    while True:
-        after = init * mult & _MASK32
-        yield init, after
-        init = after
-
-
-def _hashmix(value: np.ndarray, constants: Iterator[tuple[int, int]], steps: int) -> np.ndarray:
-    """SeedSequence's hashmix of `value` at each of the next `steps` hash
-    steps: row k of the result is hashed with the constants of step k."""
-    before, after = np.array([next(constants) for _ in range(steps)], dtype=np.uint32).T
-    value = (value ^ before[:, None]) * after[:, None]
-    return value ^ (value >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> np.uint32(16))
-
-
-def _pcg64_states(seeds: Sequence[int]) -> list[tuple[int, int]]:
-    """(state, inc) of ``np.random.PCG64(seed)`` for each seed.
-
-    Runs SeedSequence's pool mixing and ``generate_state(4, uint64)`` on all
-    seeds at once, on (words x seeds) uint32 arrays.  Seeds below 2**128
-    hash each missing entropy word as numpy does, like a zero word; the
-    extra words of longer seeds are mixed in only on their own columns.
-    """
-    words = max(_POOL_SIZE, -(-max(seeds).bit_length() // 32))
-    entropy = b"".join(s.to_bytes(4 * words, "little") for s in seeds)
-    entropy = np.frombuffer(entropy, dtype="<u4").reshape(len(seeds), words).T
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = _hashmix(entropy[:_POOL_SIZE], constants, _POOL_SIZE)
-    for src in range(_POOL_SIZE):
-        # The other pool words, in order, each mixed with pool[src] hashed
-        # at its own step; pool[src] itself does not change meanwhile.
-        dst = [k for k in range(_POOL_SIZE) if k != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants, _POOL_SIZE - 1))
-    for extra in range(_POOL_SIZE, words):
-        has_word = entropy[extra:].any(axis=0)  # seeds with a word `extra`
-        mixed = _mix(pool, _hashmix(entropy[extra], constants, _POOL_SIZE))
-        pool = np.where(has_word, mixed, pool)
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B), 8)
-    # generate_state(4, uint64) joins the word pairs little-endian; PCG64
-    # seeds with initstate = (v0, v1) and initseq = (v2, v3), high first.
-    out = out.astype(np.uint64)
-    states = []
-    for v0, v1, v2, v3 in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
-        inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-        states.append((((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _sample_rows(atoms: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and angles (rows x atoms) of the measures of `seeds`.
-
-    One generator is set to each seed's PCG64 state in turn.  With all-ones
-    alpha, ``dirichlet`` draws standard_gamma(1), which is the standard
-    exponential, and multiplies by 1 / (their sum from the left);
-    ``uniform(0, 2 pi)`` is 2 pi times ``random``.
-    """
-    generator = np.random.Generator(np.random.PCG64(0))
-    exponentials = np.empty((len(seeds), atoms))
-    uniforms = np.empty((len(seeds), atoms))
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for row, (s, inc) in enumerate(_pcg64_states(seeds)):
-        state["state"] = {"state": s, "inc": inc}
-        generator.bit_generator.state = state
-        generator.standard_exponential(out=exponentials[row])
-        generator.random(out=uniforms[row])
-    # cumsum adds strictly from the left, as dirichlet's loop does.
+def _sample_rows(rng: np.random.Generator, rows: int, atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next `rows` measures of `rng` as (rows x atoms) weights and angles:
+    a row takes 2 * atoms doubles u of ``rng.random`` (one 64-bit output
+    each); exponentials -log1p(-u) scaled by 1 / (their sum) make the
+    Dirichlet(1, ..., 1) weights, and 2 pi u the angles."""
+    u = rng.random((rows, 2 * atoms))
+    exponentials = -np.log1p(-u[:, :atoms])
+    # cumsum adds strictly from the left, so a row's sum does not depend on
+    # how many rows are drawn together (a pairwise sum would, from 8 atoms).
     total = np.cumsum(exponentials, axis=1)[:, -1:]
-    return exponentials * (1.0 / total), TWO_PI * uniforms
+    return exponentials * (1.0 / total), TWO_PI * u[:, atoms:]
 
 
 def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -466,11 +395,7 @@ class SweepSummary:
 
 
 def _fold_block(
-    worst: dict[str, list],
-    ids: list[str],
-    violation: np.ndarray,
-    witness: str,
-    seeds: range,
+    worst: dict[str, list], ids: list[str], violation: np.ndarray, witness: str, rows: range
 ) -> None:
     """Fold a (samples x ids) block of lhs - rhs into the running records.
 
@@ -478,15 +403,15 @@ def _fold_block(
     record only when strictly worse, so each witness is the first sample
     that attains the maximum.
     """
-    rows = np.argmax(violation, axis=0)
-    worst_values = violation[rows, np.arange(len(ids))].tolist()
-    for check_id, row, value in zip(ids, rows.tolist(), worst_values):
+    worst_rows = np.argmax(violation, axis=0)
+    worst_values = violation[worst_rows, np.arange(len(ids))].tolist()
+    for check_id, k, value in zip(ids, worst_rows.tolist(), worst_values):
         record = worst.get(check_id)
         if record is None or value > record[0]:
-            checks = len(seeds) + (record[2] if record else 0)
-            worst[check_id] = [value, f"{witness}, seed={seeds[row]}", checks]
+            checks = len(rows) + (record[2] if record else 0)
+            worst[check_id] = [value, f"{witness}, row={rows[k]}", checks]
         else:
-            record[2] += len(seeds)
+            record[2] += len(rows)
 
 
 def falsification_sweep(
@@ -495,13 +420,14 @@ def falsification_sweep(
 ) -> SweepSummary:
     """Maximize lhs - rhs of every inequality over sampled members.
 
-    Sample si of grid entry gi is the member of
-    ``sample_measure(config.atoms, seed)`` with
-    ``seed = config.seed * 1_000_003 + gi * 100_003 + si``, and each witness
-    names that seed.  Records are merged in grid order, so identical inputs
-    produce identical summaries.  Each inequality family is built once per
-    beta and evaluated on blocks of members: one array expression per
-    family and block.
+    Grid entry gi draws its samples, block by block, from one generator
+    ``np.random.default_rng([config.seed, gi])``, and sample si is row si
+    of that stream whatever the block size: each witness ends in
+    ``seed=[S, gi], row=si``, and ``sample_measure(config.atoms, [S, gi],
+    si)`` rebuilds its measure.  Records are merged in grid order, so
+    identical inputs produce identical summaries.  Each inequality family
+    is built once per beta and evaluated on blocks of members: one array
+    expression per family and block.
     """
     if len(beta_grid) == 0:
         raise ValueError("beta_grid: must hold at least one beta")
@@ -513,18 +439,22 @@ def falsification_sweep(
             RadiusProblem(Variant.BOHR_SCHWARZ, bp, m=1, p=1.0),
             RadiusProblem(Variant.BOHR_ROGOSINSKI, bp, m=1, p=1.0, N=ROGOSINSKI_N),
         ):
+            try:
+                root = solve_radius(problem).root
+            except BracketError as exc:
+                reason = f"no {problem.variant.value} radius at the default tol"
+                raise BracketError(f"beta = {bp.value!r}: {reason}: {exc}") from exc
             # Just inside the root; half of it for roots below twice the offset.
-            root = solve_radius(problem).root
             at = root - min(RADIUS_OFFSET, 0.5 * root)
             families.append(_radius_family(problem, DEFAULT_ORDER, at))
-        first_seed = config.seed * 1_000_003 + gi * 100_003
+        rng = np.random.default_rng([config.seed, gi])
         for start in range(0, config.samples, _BLOCK):
-            seeds = range(first_seed + start, first_seed + min(start + _BLOCK, config.samples))
-            c = _caratheodory_rows(*_sample_rows(config.atoms, seeds), DEFAULT_ORDER)
+            rows = range(start, min(start + _BLOCK, config.samples))
+            c = _caratheodory_rows(*_sample_rows(rng, len(rows), config.atoms), DEFAULT_ORDER)
             a = caratheodory_to_member(c, bp)
             for ids, witness, evaluate in families:
                 lhs, rhs = evaluate(a)
-                _fold_block(worst, ids, lhs - rhs, witness, seeds)
+                _fold_block(worst, ids, lhs - rhs, f"{witness}, seed=[{config.seed}, {gi}]", rows)
     records = tuple(
         InequalityRecord(check_id, v, w, n) for check_id, (v, w, n) in worst.items()
     )

@@ -136,13 +136,18 @@ def monotone_spot_check(F: Callable[[float], float], grid_points: int = 32) -> b
 # -- Seeded Herglotz measures --
 
 
-def reference_sample_measure(num_atoms: int, seed: int) -> HerglotzMeasure:
-    """The measure of ``seed`` drawn through numpy's own generator, which
-    abeta.verify.sample_measure and the sweep's block sampler reproduce."""
-    rng = np.random.default_rng(seed)
-    weights = rng.dirichlet(np.ones(num_atoms))
-    angles = rng.uniform(0.0, TWO_PI, size=num_atoms)
-    return HerglotzMeasure(weights, angles)
+def reference_sample_measure(num_atoms: int, seed, row: int = 0) -> HerglotzMeasure:
+    """Row `row` of one ``default_rng(seed).random((row + 1, 2 * num_atoms))``
+    draw, with no ``advance``: the first num_atoms doubles u of the row give
+    exponentials -log1p(-u), normalised by their sum taken left to right in
+    a Python loop, and the rest give the angles 2 pi u.  The stream that
+    abeta.verify.sample_measure and the sweep's blocks reproduce."""
+    u = np.random.default_rng(seed).random((row + 1, 2 * num_atoms))[row]
+    exponentials = -np.log1p(-u[:num_atoms])
+    total = 0.0
+    for e in exponentials.tolist():
+        total += e
+    return HerglotzMeasure(exponentials * (1.0 / total), TWO_PI * u[num_atoms:])
 
 
 def reference_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> np.ndarray:

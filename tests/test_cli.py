@@ -152,20 +152,57 @@ class TestRadiusCommand:
         assert err.startswith("error: --poly") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags",  # each a whole command line
         [
-            ("--p", "1e-9"),  # no sign change: the solver raises BracketError
-            ("--tol", "1e-17"),  # finer than doubles near the root resolve
-            ("--tol", "inf"),  # wider than any bracket: its midpoint is no root
-            ("--p", "inf"),  # would print "p": Infinity, which is not JSON
-            ("--m", "3", "--p", "0.01"),  # root near 1e-14, below the first probe
+            # no sign change: the solver raises BracketError
+            ("radius", "--beta", "0", "--p", "1e-9"),
+            # finer than doubles near the root resolve
+            ("radius", "--beta", "0", "--tol", "1e-17"),
+            # wider than any bracket: its midpoint is no root
+            ("radius", "--beta", "0", "--tol", "inf"),
+            # would print "p": Infinity, which is not JSON
+            ("radius", "--beta", "0", "--p", "inf"),
+            # root near 1e-14, below the first probe
+            ("radius", "--beta", "0", "--m", "3", "--p", "0.01"),
+            # a grid cell whose root lies below the first probe
+            ("verify", "--beta-grid", "0.2,0.5,0.99999999999,0.7", "--samples", "2"),
+            ("sweep", "--beta-grid", "0.2,0.99999999999", "--m", "1,2"),
         ],
     )
     def test_unsolvable_input_is_one_error_line(self, flags):
-        proc = run_process("radius", "--beta", "0", *flags)
+        proc = run_process(*flags)
         assert proc.returncode == 1 and proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, cell",
+        [
+            (
+                ("verify", "--beta-grid", "0.2,0.5,0.99999999999,0.7", "--samples", "2"),
+                "--beta-grid: beta = 0.99999999999: no bohr radius at the default tol: ",
+            ),
+            (
+                ("verify", "--beta", "0.99999999999", "--samples", "2"),
+                "--beta: beta = 0.99999999999: no bohr radius at the default tol: ",
+            ),
+            (
+                ("sweep", "--beta-grid", "0.2,0.99999999999", "--m", "1,2"),
+                "--beta-grid: beta = 0.99999999999, m = 1, p = 1.0, N = 1, variant = bohr: ",
+            ),
+            (
+                ("sweep", "--beta-grid", "0.1", "--p", "2,1e-9", "--variant", "both"),
+                "--beta-grid: beta = 0.1, m = 1, p = 1e-09, N = 1, variant = bohr: ",
+            ),
+        ],
+        ids=["verify-grid", "verify-beta", "sweep-beta", "sweep-p"],
+    )
+    def test_unsolvable_grid_cell_names_its_flag_and_cell(self, capsys, argv, cell):
+        # The solver's reason once came alone, naming neither the flag nor
+        # the grid value.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {cell}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -446,37 +483,37 @@ GOLDEN_STDOUT = {
     ),
     ("verify", "--beta", "0.5", "--samples", "2", "--seed", "42", "--out-format", "csv"): (
         "id,max_violation,witness,checks,pass\r\n"
-        'coeff[n=2],-0.4245072558564128,"beta=0.5, seed=42000127",2,true\r\n'
-        'coeff[n=3],-0.55535868267681576,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=4],-0.30767827799439285,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=5],-0.29780699423238993,"beta=0.5, seed=42000127",2,true\r\n'
-        'coeff[n=6],-0.085424801879801893,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=7],-0.15136396906494931,"beta=0.5, seed=42000127",2,true\r\n'
-        'coeff[n=8],-0.2544484102366687,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=9],-0.13814557066988914,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=10],-0.23200248139232504,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=11],-0.038195322601799198,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=12],-0.10044092934326435,"beta=0.5, seed=42000127",2,true\r\n'
-        'coeff[n=13],-0.07240811461077365,"beta=0.5, seed=42000127",2,true\r\n'
-        'coeff[n=14],-0.046120350323829079,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=15],-0.12678462720148048,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=16],-0.083978769759832955,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=17],-0.09064196264524324,"beta=0.5, seed=42000127",2,true\r\n'
-        'coeff[n=18],-0.0035204395257870391,"beta=0.5, seed=42000127",2,true\r\n'
-        'coeff[n=19],-0.03385765026963039,"beta=0.5, seed=42000126",2,true\r\n'
-        'coeff[n=20],-0.082725991133509175,"beta=0.5, seed=42000127",2,true\r\n'
-        'fekete_szego[mu=-2],-2.4729314979609054,"beta=0.5, seed=42000127",2,true\r\n'
-        'fekete_szego[mu=-1],-1.5197053758511356,"beta=0.5, seed=42000127",2,true\r\n'
-        'fekete_szego[mu=0],-0.55535868267681576,"beta=0.5, seed=42000126",2,true\r\n'
-        'fekete_szego[mu=0.5],-0.39101984498523878,"beta=0.5, seed=42000126",2,true\r\n'
-        'fekete_szego[mu=1],-0.19495376601406089,"beta=0.5, seed=42000126",2,true\r\n'
-        'fekete_szego[mu=2],-1.3247591862369221,"beta=0.5, seed=42000126",2,true\r\n'
-        'log_diff_upper,-0.53324915281364582,"beta=0.5, seed=42000126",2,true\r\n'
-        'log_diff_lower,-0.22599600252334917,"beta=0.5, seed=42000127",2,true\r\n'
-        'inverse_log_diff_upper,-0.33043416183897428,"beta=0.5, seed=42000126",2,true\r\n'
-        'inverse_log_diff_lower,-0.36179080585210704,"beta=0.5, seed=42000127",2,true\r\n'
-        '"bohr[beta=0.5,m=1,p=1,N=1]",-0.01874826824675721,"r=0.1773657034066072, mode=monomial, seed=42000127",2,true\r\n'
-        '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.01447376406666176,"r=0.15391781009884792, mode=monomial, seed=42000127",2,true\r\n'
+        'coeff[n=2],-0.50402828673449762,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=3],-0.32964380206943877,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=4],-0.16336122375927831,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=5],-0.24524997321703546,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=6],-0.011514472141038068,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=7],-0.08874505699305113,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=8],-0.14172912827554485,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=9],-0.11607568543173663,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=10],-0.066889283052638804,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=11],-0.025707964538118022,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=12],-0.17901819501920183,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=13],-0.080537027677611284,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=14],-0.070484366728388148,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=15],-0.062123700999449916,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=16],-0.037717288471157934,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=17],-0.1254384701864118,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=18],-0.047656829788628674,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=19],-0.049967410971439891,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=20],-0.04267607802014331,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'fekete_szego[mu=-2],-2.8005240503127995,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'fekete_szego[mu=-1],-1.5653435601885264,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'fekete_szego[mu=0],-0.32964380206943877,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'fekete_szego[mu=0.5],-0.45926935608929698,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'fekete_szego[mu=1],-0.17376072403290688,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'fekete_szego[mu=2],-1.0815377874360621,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'log_diff_upper,-0.64428720134406636,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'log_diff_lower,-0.46412673059676313,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'inverse_log_diff_upper,-0.34249631102578193,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'inverse_log_diff_lower,-0.11696592247647236,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        '"bohr[beta=0.5,m=1,p=1,N=1]",-0.021171224064261973,"r=0.1773657034066072, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
+        '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.016344796054229616,"r=0.15391781009884792, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
     ),
     ("verify", "--beta", "0.5", "--samples", "2", "--seed", "42", "--out-format", "json"): (
         "{\n"
@@ -491,188 +528,188 @@ GOLDEN_STDOUT = {
         '  "inequalities": [\n'
         "    {\n"
         '      "id": "coeff[n=2]",\n'
-        '      "max_violation": -0.4245072558564128,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.5040282867344976,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=3]",\n'
-        '      "max_violation": -0.5553586826768158,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.3296438020694388,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=4]",\n'
-        '      "max_violation": -0.30767827799439285,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.1633612237592783,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=5]",\n'
-        '      "max_violation": -0.29780699423238993,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.24524997321703546,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=6]",\n'
-        '      "max_violation": -0.08542480187980189,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.011514472141038068,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=7]",\n'
-        '      "max_violation": -0.1513639690649493,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.08874505699305113,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=8]",\n'
-        '      "max_violation": -0.2544484102366687,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.14172912827554485,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=9]",\n'
-        '      "max_violation": -0.13814557066988914,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.11607568543173663,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=10]",\n'
-        '      "max_violation": -0.23200248139232504,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.0668892830526388,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=11]",\n'
-        '      "max_violation": -0.0381953226017992,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.025707964538118022,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=12]",\n'
-        '      "max_violation": -0.10044092934326435,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.17901819501920183,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=13]",\n'
-        '      "max_violation": -0.07240811461077365,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.08053702767761128,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=14]",\n'
-        '      "max_violation": -0.04612035032382908,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.07048436672838815,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=15]",\n'
-        '      "max_violation": -0.12678462720148048,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.062123700999449916,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=16]",\n'
-        '      "max_violation": -0.08397876975983296,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.037717288471157934,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=17]",\n'
-        '      "max_violation": -0.09064196264524324,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.1254384701864118,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=18]",\n'
-        '      "max_violation": -0.003520439525787039,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.047656829788628674,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=19]",\n'
-        '      "max_violation": -0.03385765026963039,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.04996741097143989,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=20]",\n'
-        '      "max_violation": -0.08272599113350917,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.04267607802014331,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=-2]",\n'
-        '      "max_violation": -2.4729314979609054,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -2.8005240503127995,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=-1]",\n'
-        '      "max_violation": -1.5197053758511356,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -1.5653435601885264,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=0]",\n'
-        '      "max_violation": -0.5553586826768158,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.3296438020694388,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=0.5]",\n'
-        '      "max_violation": -0.3910198449852388,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.459269356089297,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=1]",\n'
-        '      "max_violation": -0.1949537660140609,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.17376072403290688,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=2]",\n'
-        '      "max_violation": -1.3247591862369221,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -1.081537787436062,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "log_diff_upper",\n'
-        '      "max_violation": -0.5332491528136458,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.6442872013440664,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "log_diff_lower",\n'
-        '      "max_violation": -0.22599600252334917,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.4641267305967631,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "inverse_log_diff_upper",\n'
-        '      "max_violation": -0.3304341618389743,\n'
-        '      "witness": "beta=0.5, seed=42000126",\n'
+        '      "max_violation": -0.34249631102578193,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "inverse_log_diff_lower",\n'
-        '      "max_violation": -0.36179080585210704,\n'
-        '      "witness": "beta=0.5, seed=42000127",\n'
+        '      "max_violation": -0.11696592247647236,\n'
+        '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "bohr[beta=0.5,m=1,p=1,N=1]",\n'
-        '      "max_violation": -0.01874826824675721,\n'
-        '      "witness": "r=0.1773657034066072, mode=monomial, seed=42000127",\n'
+        '      "max_violation": -0.021171224064261973,\n'
+        '      "witness": "r=0.1773657034066072, mode=monomial, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "rogosinski[beta=0.5,m=1,p=1,N=2]",\n'
-        '      "max_violation": -0.01447376406666176,\n'
-        '      "witness": "r=0.15391781009884792, mode=monomial, seed=42000127",\n'
+        '      "max_violation": -0.016344796054229616,\n'
+        '      "witness": "r=0.15391781009884792, mode=monomial, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    }\n"
         "  ]\n"
@@ -683,39 +720,39 @@ GOLDEN_STDOUT = {
     ("verify", "--beta-grid", "0,0.9", "--samples", "65", "--atoms", "3", "--seed", "7",
      "--out-format", "csv"): (
         "id,max_violation,witness,checks,pass\r\n"
-        'coeff[n=2],-0.011468523936108088,"beta=0.9, seed=7100077",130,true\r\n'
-        'coeff[n=3],-0.005111782116462682,"beta=0, seed=7000048",130,true\r\n'
-        'coeff[n=4],-0.0036262638544535264,"beta=0, seed=7000053",130,true\r\n'
-        'coeff[n=5],-0.00038936808025580305,"beta=0, seed=7000050",130,true\r\n'
-        'coeff[n=6],-0.00016101884467534244,"beta=0, seed=7000081",130,true\r\n'
-        'coeff[n=7],-0.0005682461233685876,"beta=0, seed=7000039",130,true\r\n'
-        'coeff[n=8],-0.0039200021736851554,"beta=0.9, seed=7100028",130,true\r\n'
-        'coeff[n=9],-0.00086479819293253102,"beta=0, seed=7000050",130,true\r\n'
-        'coeff[n=10],-0.0027637450050430057,"beta=0, seed=7000080",130,true\r\n'
-        'coeff[n=11],-0.00035071254974061716,"beta=0, seed=7000081",130,true\r\n'
-        'coeff[n=12],-0.00296770277363545,"beta=0.9, seed=7100065",130,true\r\n'
-        'coeff[n=13],-0.0010164999328882152,"beta=0, seed=7000040",130,true\r\n'
-        'coeff[n=14],-0.0010211407814754159,"beta=0, seed=7000066",130,true\r\n'
-        'coeff[n=15],-0.0024974653182122664,"beta=0.9, seed=7100044",130,true\r\n'
-        'coeff[n=16],-0.00038768185233463426,"beta=0, seed=7000076",130,true\r\n'
-        'coeff[n=17],-0.00028711760633842731,"beta=0, seed=7000062",130,true\r\n'
-        'coeff[n=18],-0.00038111807956932309,"beta=0, seed=7000035",130,true\r\n'
-        'coeff[n=19],-0.0012368353387319925,"beta=0, seed=7000051",130,true\r\n'
-        'coeff[n=20],-8.3667695609287995e-05,"beta=0, seed=7000051",130,true\r\n'
-        'fekete_szego[mu=-2],-0.08268624940331426,"beta=0, seed=7000051",130,true\r\n'
-        'fekete_szego[mu=-1],-0.057855079779254304,"beta=0, seed=7000051",130,true\r\n'
-        'fekete_szego[mu=0],-0.005111782116462682,"beta=0, seed=7000048",130,true\r\n'
-        'fekete_szego[mu=0.5],-0.012031027158685093,"beta=0, seed=7000048",130,true\r\n'
-        'fekete_szego[mu=1],-0.018929560931450484,"beta=0, seed=7000048",130,true\r\n'
-        'fekete_szego[mu=2],-0.016635587216221159,"beta=0, seed=7000051",130,true\r\n'
-        'log_diff_upper,-0.068580956694138384,"beta=0, seed=7000048",130,true\r\n'
-        'log_diff_lower,-0.0057020423562587075,"beta=0.9, seed=7100077",130,true\r\n'
-        'inverse_log_diff_upper,-0.075468800412464898,"beta=0, seed=7000048",130,true\r\n'
-        'inverse_log_diff_lower,-0.077238214600399091,"beta=0, seed=7000046",130,true\r\n'
-        '"bohr[beta=0,m=1,p=1,N=1]",-0.0041385492703469584,"r=0.2841940876622407, mode=monomial, seed=7000051",65,true\r\n'
-        '"rogosinski[beta=0,m=1,p=1,N=2]",-0.0037770094117552944,"r=0.24275492842622712, mode=monomial, seed=7000051",65,true\r\n'
-        '"bohr[beta=0.9,m=1,p=1,N=1]",-0.001202597866129182,"r=0.04477768414484444, mode=monomial, seed=7100077",65,true\r\n'
-        '"rogosinski[beta=0.9,m=1,p=1,N=2]",-0.0013500161592101406,"r=0.04181613481087239, mode=monomial, seed=7100077",65,true\r\n'
+        'coeff[n=2],-0.0025959427904642673,"beta=0.9, seed=[7, 1], row=55",130,true\r\n'
+        'coeff[n=3],-4.4802099069429779e-05,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=4],-0.012250560701046687,"beta=0, seed=[7, 0], row=31",130,true\r\n'
+        'coeff[n=5],-0.00010725165690023131,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=6],-0.00096994782636561361,"beta=0.9, seed=[7, 1], row=51",130,true\r\n'
+        'coeff[n=7],-0.00017163829462041313,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=8],-0.0018568670658492825,"beta=0, seed=[7, 0], row=56",130,true\r\n'
+        'coeff[n=9],-0.00023591834649885901,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=10],-0.00086461102933324541,"beta=0, seed=[7, 0], row=53",130,true\r\n'
+        'coeff[n=11],-0.00029929637306985724,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=12],-0.00041819746083399112,"beta=0, seed=[7, 0], row=6",130,true\r\n'
+        'coeff[n=13],-0.00036127182317075013,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=14],-2.5536424144267933e-05,"beta=0, seed=[7, 0], row=48",130,true\r\n'
+        'coeff[n=15],-4.3438966374459431e-05,"beta=0, seed=[7, 0], row=20",130,true\r\n'
+        'coeff[n=16],-0.00014428866582835709,"beta=0, seed=[7, 0], row=64",130,true\r\n'
+        'coeff[n=17],-0.00043350676935474675,"beta=0, seed=[7, 0], row=54",130,true\r\n'
+        'coeff[n=18],-0.0018210997147271035,"beta=0, seed=[7, 0], row=4",130,true\r\n'
+        'coeff[n=19],-0.00032962454532942109,"beta=0, seed=[7, 0], row=40",130,true\r\n'
+        'coeff[n=20],-0.00016530196508525441,"beta=0, seed=[7, 0], row=43",130,true\r\n'
+        'fekete_szego[mu=-2],-0.02503730225074996,"beta=0, seed=[7, 0], row=1",130,true\r\n'
+        'fekete_szego[mu=-1],-0.017332858798879469,"beta=0, seed=[7, 0], row=1",130,true\r\n'
+        'fekete_szego[mu=0],-4.4802099069429779e-05,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'fekete_szego[mu=0.5],-0.032438849686301841,"beta=0, seed=[7, 0], row=20",130,true\r\n'
+        'fekete_szego[mu=1],-0.026211019465938623,"beta=0.9, seed=[7, 1], row=36",130,true\r\n'
+        'fekete_szego[mu=2],-0.0057794267086008766,"beta=0, seed=[7, 0], row=1",130,true\r\n'
+        'log_diff_upper,-0.11281288330146844,"beta=0.9, seed=[7, 1], row=47",130,true\r\n'
+        'log_diff_lower,-0.0022138522294604668,"beta=0.9, seed=[7, 1], row=6",130,true\r\n'
+        'inverse_log_diff_upper,-0.097663082870285578,"beta=0.9, seed=[7, 1], row=55",130,true\r\n'
+        'inverse_log_diff_lower,-0.066831603321413247,"beta=0, seed=[7, 0], row=52",130,true\r\n'
+        '"bohr[beta=0,m=1,p=1,N=1]",-0.0024823750397279798,"r=0.2841940876622407, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
+        '"rogosinski[beta=0,m=1,p=1,N=2]",-0.0027265559813029472,"r=0.24275492842622712, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
+        '"bohr[beta=0.9,m=1,p=1,N=1]",-0.0011815930545795855,"r=0.04477768414484444, mode=monomial, seed=[7, 1], row=55",65,true\r\n'
+        '"rogosinski[beta=0.9,m=1,p=1,N=2]",-0.0013319003109232702,"r=0.04181613481087239, mode=monomial, seed=[7, 1], row=55",65,true\r\n'
     ),
     ("sweep", "--beta-grid", "0,0.5", "--m", "1,2", "--variant", "both", "--out-format", "csv"): (
         "beta,m,p,N,variant,root,residual,iterations\r\n"

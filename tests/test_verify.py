@@ -30,7 +30,6 @@ from abeta.verify import (
     VerifyConfig,
     _caratheodory_rows,
     _coefficient_tail_bound,
-    _pcg64_states,
     _sample_rows,
     check_bohr,
     check_coefficient_bounds,
@@ -85,6 +84,11 @@ class TestHerglotzMeasure:
             sample_measure(1, seed=-1)
         with pytest.raises(TypeError):
             sample_measure(1, seed=1.5)
+        # PCG64.advance takes a negative step without complaint, and 10**13
+        # atoms once ended in numpy's allocator.
+        for num_atoms, row in ((1, -1), (0, 0), (MAX_ATOMS + 1, 0), (10**13, 0)):
+            with pytest.raises(ValueError, match="^(row|num_atoms) must"):
+                sample_measure(num_atoms, [1, 2], row)
 
     def test_numpy_integer_seed(self):
         mu = sample_measure(3, seed=np.uint64(2**63 + 5))
@@ -106,7 +110,7 @@ class TestHerglotzMeasure:
         # The constructor's weight-sum check holds at the most atoms, and
         # % 2pi leaves the drawn angles as they are.
         mu = sample_measure(MAX_ATOMS, seed)
-        weights, angles = _sample_rows(MAX_ATOMS, [seed])
+        weights, angles = _sample_rows(np.random.default_rng(seed), 1, MAX_ATOMS)
         assert _bits(mu.weights) == _bits(weights[0])
         assert _bits(mu.angles) == _bits(angles[0])
 
@@ -125,55 +129,71 @@ def _bits(x):
     return np.ascontiguousarray(x).tobytes()
 
 
-# Seed blocks for the block sampler: across the 1-, 2-, 4- and 5-word
-# entropy boundaries of numpy's SeedSequence, with seeds up to ~2**200
-# (7 words), and one block mixing every word count.
-SEED_BLOCKS = [
-    range(0, 5),
-    range(2**32 - 3, 2**32 + 3),
-    range(2**64 - 3, 2**64 + 3),
-    range(2**128 - 3, 2**128 + 3),
-    range(2**200 - 2, 2**200 + 2),
-    [7, 2**40 + 1, 2**100, 2**130 + 9, 3, 2**199 + 12345, 2**64],
-]
+# Seeds of the stream: plain ints and the sweep's [S, gi] lists, across the
+# 1-, 2-, 4- and 5-word entropy boundaries of numpy's SeedSequence, up to
+# ~2**200 (7 words).
+STREAM_SEEDS = [0, [7, 0], [2**32 - 1, 2], 2**64 + 3, [2**128 + 9, 1], [2**200, 0]]
 
 
 class TestBlockSampler:
-    @pytest.mark.parametrize("seeds", SEED_BLOCKS)
-    def test_seeds_give_numpys_pcg64_states(self, seeds):
-        states = [np.random.PCG64(seed).state["state"] for seed in seeds]
-        assert _pcg64_states(seeds) == [(s["state"], s["inc"]) for s in states]
-
     @pytest.mark.parametrize("atoms", range(1, 9))
     def test_draws_are_default_rng_bit_for_bit(self, atoms):
-        for seeds in SEED_BLOCKS:
-            weights, angles = _sample_rows(atoms, seeds)
-            for row, seed in enumerate(seeds):
-                rng = np.random.default_rng(seed)
-                assert _bits(weights[row]) == _bits(rng.dirichlet(np.ones(atoms)))
-                assert _bits(angles[row]) == _bits(rng.uniform(0.0, 2 * math.pi, atoms))
+        # Blocks of 1, 63 and 66 rows continue one stream: row k is the
+        # reference's row k whatever block it falls in, and sample_measure
+        # reaches it by advancing.
+        for seed in STREAM_SEEDS:
+            rng = np.random.default_rng(seed)
+            blocks = [_sample_rows(rng, rows, atoms) for rows in (1, 63, 66)]
+            weights = np.concatenate([w for w, _ in blocks])
+            angles = np.concatenate([t for _, t in blocks])
+            for row in (0, 1, 63, 64, 65, 129):
+                mu = reference_sample_measure(atoms, seed, row)
+                assert _bits(weights[row]) == _bits(mu.weights)
+                assert _bits(angles[row]) == _bits(mu.angles)
+                rebuilt = sample_measure(atoms, seed, row)
+                assert _bits(rebuilt.weights) == _bits(mu.weights)
+                assert _bits(rebuilt.angles) == _bits(mu.angles)
 
     @given(
         atoms=st.integers(min_value=1, max_value=8),
-        seeds=st.lists(st.integers(min_value=0, max_value=2**200), min_size=1, max_size=70),
+        seed=st.integers(min_value=0, max_value=2**200)
+        | st.lists(st.integers(min_value=0, max_value=2**200), min_size=1, max_size=3),
+        rows=st.integers(min_value=1, max_value=3 * _BLOCK),
+        split=st.integers(min_value=0, max_value=3 * _BLOCK),
     )
     @settings(max_examples=30, deadline=None)
-    def test_any_seed_list_matches_the_reference(self, atoms, seeds):
-        weights, angles = _sample_rows(atoms, seeds)
-        for row, seed in enumerate(seeds):
-            mu = reference_sample_measure(atoms, seed)
+    def test_any_seed_list_matches_the_reference(self, atoms, seed, rows, split):
+        # Two blocks of one stream, split anywhere: every row, including
+        # rows past the sweep's first block, is the reference's.
+        rng = np.random.default_rng(seed)
+        split = min(split, rows)
+        blocks = [_sample_rows(rng, n, atoms) for n in (split, rows - split)]
+        weights = np.concatenate([w for w, _ in blocks])
+        angles = np.concatenate([t for _, t in blocks])
+        for row in {0, split - 1, split, rows - 1} & set(range(rows)):
+            mu = reference_sample_measure(atoms, seed, row)
             assert _bits(weights[row]) == _bits(mu.weights)
             assert _bits(angles[row]) == _bits(mu.angles)
+            assert _bits(sample_measure(atoms, seed, row).weights) == _bits(mu.weights)
 
     @pytest.mark.parametrize("atoms", [1, 3, 4, 8, 100, 300])
     def test_block_rows_equal_the_one_measure_product(self, atoms):
         # 100 and 300 atoms split the block into chunks of two rows and one.
-        seeds = range(2**64 - 40, 2**64 + 40)
-        c = _caratheodory_rows(*_sample_rows(atoms, seeds), DEFAULT_ORDER)[:, 1:]
-        for row, seed in enumerate(seeds):
-            mu = sample_measure(atoms, seed)
+        seed = [2**64 - 40, 3]
+        rows = 80
+        weights, angles = _sample_rows(np.random.default_rng(seed), rows, atoms)
+        c = _caratheodory_rows(weights, angles, DEFAULT_ORDER)[:, 1:]
+        for row in range(rows):
+            mu = sample_measure(atoms, seed, row)
             assert _bits(c[row]) == _bits(measure_to_caratheodory(mu)[1:])
             assert _bits(c[row]) == _bits(reference_caratheodory(mu))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_does_not_change_the_summary(self, monkeypatch, block):
+        config = VerifyConfig(samples=150, atoms=5, seed=13)
+        expected = falsification_sweep([0.0, 0.5], config)
+        monkeypatch.setattr(abeta.verify, "_BLOCK", block)
+        assert falsification_sweep([0.0, 0.5], config) == expected
 
 
 class TestClassMember:
@@ -410,11 +430,12 @@ def _oracle_sweep(beta_grid, config, order):
             check_id = f"{tag}[beta={beta:g},m=1,p=1,N={N}]"
             radius_checks.append((check_id, tag, N, at))
         for si in range(config.samples):
-            seed = config.seed * 1_000_003 + gi * 100_003 + si
-            mu = reference_sample_measure(config.atoms, seed)
+            seed = [config.seed, gi]
+            mu = reference_sample_measure(config.atoms, seed, si)
             member = ClassMember.from_measure(mu, bp, order)
             a = [complex(x) for x in member.a]
-            witness = f"beta={beta:g}, seed={seed}"
+            source = f"seed=[{config.seed}, {gi}], row={si}"
+            witness = f"beta={beta:g}, {source}"
             for n in range(2, N_MAX + 1):
                 merge(f"coeff[n={n}]", abs(a[n - 1]), extremal_coeff(n, bp), witness)
             a2, a3 = a[1], a[2]
@@ -441,7 +462,7 @@ def _oracle_sweep(beta_grid, config, order):
                     check_id,
                     lead + body + tail,
                     -extremal_at_minus_one(bp),
-                    f"r={at!r}, mode=monomial, seed={seed}",
+                    f"r={at!r}, mode=monomial, {source}",
                 )
     return [(check_id, v, w, n) for check_id, (v, w, n) in worst.items()]
 
@@ -469,6 +490,17 @@ class TestSweepMatchesScalarOracle:
         summary = _assert_matches_oracle([0.5], config)
         assert {rec.checks for rec in summary.records} == {_BLOCK + 1}
 
+    @pytest.mark.parametrize(
+        "beta_grid, config",
+        [
+            ([0.5], VerifyConfig(samples=2, atoms=4, seed=42)),
+            ([0.0, 0.9], VerifyConfig(samples=65, atoms=3, seed=7)),
+        ],
+    )
+    def test_recorded_golden_configurations(self, beta_grid, config):
+        # The two `verify` configurations whose bytes tests/test_cli.py records.
+        _assert_matches_oracle(beta_grid, config)
+
     def test_low_order_includes_the_coefficient_tail(self, monkeypatch):
         # At order 20 the certified tail (~1e-13 at the beta = 0 Bohr
         # radius) is far above the 1e-15 agreement asked of the sweep.
@@ -476,32 +508,46 @@ class TestSweepMatchesScalarOracle:
         _assert_matches_oracle([0.0], VerifyConfig(samples=30, seed=9), order=20)
 
 
+def _assert_witnesses_rebuild(beta_grid, config):
+    """Every record's max_violation, recomputed bit for bit from the member
+    its witness names."""
+    for rec in falsification_sweep(beta_grid, config).records:
+        source = re.search(r"seed=\[(\d+), (\d+)\], row=(\d+)$", rec.witness)
+        seed, gi, row = (int(x) for x in source.groups())
+        assert seed == config.seed
+        mu = sample_measure(config.atoms, [seed, gi], row)
+        member = ClassMember.from_measure(mu, beta_grid[gi])
+        radius = re.fullmatch(r"(bohr|rogosinski)\[.*,N=(\d+)\]", rec.inequality_id)
+        if radius:
+            problem = RadiusProblem(Variant(radius[1]), member.beta, N=int(radius[2]))
+            r = float(rec.witness.split(",", 1)[0].removeprefix("r="))
+            report = check_bohr(member, problem, r)
+        else:
+            reports = check_coefficient_bounds(member, N_MAX)
+            reports += check_fs_and_log_bounds(member)
+            report = {r.inequality_id: r for r in reports}[rec.inequality_id]
+        assert -report.margin == rec.max_violation
+
+
 class TestWitnesses:
     def test_format_names_beta_once(self):
         summary = falsification_sweep([0.5], VerifyConfig(samples=20, seed=3))
         for rec in summary.records:
             if rec.inequality_id.startswith(("bohr[", "rogosinski[")):
-                assert re.fullmatch(r"r=0\.\d+, mode=monomial, seed=\d+", rec.witness)
+                pattern = r"r=0\.\d+, mode=monomial, seed=\[3, 0\], row=\d+"
             else:
-                assert re.fullmatch(r"beta=0\.5, seed=\d+", rec.witness)
+                pattern = r"beta=0\.5, seed=\[3, 0\], row=\d+"
+            assert re.fullmatch(pattern, rec.witness)
 
     def test_seed_rebuilds_the_witness_member(self):
         config = VerifyConfig(samples=40, atoms=6, seed=21)
         for beta_grid in ([0.25], [0.0, 0.5, 0.9], [0.999]):
-            for rec in falsification_sweep(beta_grid, config).records:
-                seed = int(rec.witness.rsplit("seed=", 1)[1])
-                beta = beta_grid[(seed - config.seed * 1_000_003) // 100_003]
-                member = ClassMember.from_measure(sample_measure(config.atoms, seed), beta)
-                radius = re.fullmatch(r"(bohr|rogosinski)\[.*,N=(\d+)\]", rec.inequality_id)
-                if radius:
-                    problem = RadiusProblem(Variant(radius[1]), member.beta, N=int(radius[2]))
-                    r = float(rec.witness.split(",", 1)[0].removeprefix("r="))
-                    report = check_bohr(member, problem, r)
-                else:
-                    reports = check_coefficient_bounds(member, N_MAX)
-                    reports += check_fs_and_log_bounds(member)
-                    report = {r.inequality_id: r for r in reports}[rec.inequality_id]
-                assert -report.margin == rec.max_violation
+            _assert_witnesses_rebuild(beta_grid, config)
+
+    @pytest.mark.parametrize("atoms", [1, 7, 100])
+    def test_rows_past_the_first_block_rebuild(self, atoms):
+        # 150 samples: witnesses fall in the second and third blocks too.
+        _assert_witnesses_rebuild([0.0, 0.5], VerifyConfig(samples=150, atoms=atoms, seed=5))
 
 
 class TestCertifiedTail:
