@@ -1,8 +1,10 @@
 """Radius equations for the Bohr-type inequalities and their certified roots.
 
-Both radius equations are strictly increasing on (0, 1), negative at 0+
-and positive near 1, so each has a unique root.  The solver keeps a
-sign-change bracket at all times and reports the final bracket and
+Both inequalities bound one majorant, lead(r) + sum_{n >= start} |a_n| r^n
++ F(S_r/pi), by the level -f(-1); RadiusProblem alone knows each variant's
+lead and start.  Its equation, the extremal member's majorant minus the
+level, rises on (0, 1) from negative at 0+ to positive near 1: one root.
+The solver keeps a sign-change bracket and reports the final bracket and
 residual.  It steps by inverse quadratic interpolation where Chandrupatla's
 test accepts it (Adv. Eng. Software 28(3), 1997) and bisects otherwise,
 and it forces a bisection after SAFEGUARD_STEPS - 1 steps that did not
@@ -120,10 +122,16 @@ class RadiusProblem:
         if not isinstance(self.F, AreaPolynomial):
             raise TypeError(f"F: must be an AreaPolynomial, got {self.F!r}")
 
+    # Cached: a Variant lookup costs about as much as Bohr's hat_f call.
     @functools.cached_property
-    def _f_minus_one(self) -> float:
-        """f(-1) of the extremal function, the same at every r."""
-        return extremal_at_minus_one(self.beta)
+    def start(self) -> int:
+        """First index n of the majorant's sum: 2 (Bohr) or N (Rogosinski)."""
+        return 2 if self.variant is Variant.BOHR_SCHWARZ else self.N
+
+    @functools.cached_property
+    def level(self) -> float:
+        """-f(-1) of the extremal function, the bound on the majorant at every r."""
+        return -extremal_at_minus_one(self.beta)
 
     def lead(self, r: float) -> float:
         """r^{pm} (Bohr) or f(r^m)^p (Rogosinski) at |z| = r; +inf past the largest double."""
@@ -137,14 +145,14 @@ class RadiusProblem:
             return math.inf
 
     def equation(self, r: float) -> float:
-        """lead(r) + f(r) - head(r) + F(area bound at r) + f(-1), where head is
-        r (Bohr) or hat_f(r), the section removed from the Rogosinski majorant."""
+        """The majorant of the extremal member minus the level: lead(r) +
+        f(r) - hat_f(start, r) + F(area bound at r) - level, where f(r) -
+        hat_f(start, r) is the extremal sum from n = start."""
         beta = self.beta
         lead = self.lead(r)
-        head = r if self.variant is Variant.BOHR_SCHWARZ else hat_f(self.N, beta, r)
         # F == 0 skips the area bound, whose F value is 0 anyway.
         area = 0.0 if self.F.is_zero else self.F(area_majorant(r, beta))
-        return lead + eval_extremal(r, beta) - head + area + self._f_minus_one
+        return lead + eval_extremal(r, beta) - hat_f(self.start, beta, r) + area - self.level
 
 
 @dataclass(frozen=True)
@@ -158,20 +166,20 @@ class RootResult:
 
 
 def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
-    """Initial partial sum removed from the majorant in the Rogosinski sum.
+    """Extremal section sum_{n<N} a_n r^n, left out of f(r) by a majorant from n = N.
 
-    0 for N = 1, r for N = 2, and r + sum_{n=2}^{N-1} a_n r^n (extremal
-    coefficients) for N >= 3.  The terms decrease, so the sum stops at the
-    first term below half an ulp of the total: it and every later term
-    would be rounded away.
+    Exactly 0 for N = 1, r for N = 2 (the Bohr start), and r +
+    sum_{n=2}^{N-1} a_n r^n for N >= 3.  The terms decrease, so the sum
+    stops at the first term below half an ulp of the total: it and every
+    later term would be rounded away.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    if N == 1:
-        return 0.0
     b = beta_value(beta)
+    if N <= 2:
+        return 0.0 if N == 1 else r
     total = r
     for n in range(2, N):
         term = 2.0 / ((1.0 - b) * n + b) * r ** n  # extremal_coeff(n, b) * r ** n

@@ -28,8 +28,7 @@ from . import bounds as _bounds
 from .extremal import (
     BetaParam,
     beta_value,
-    eval_extremal,  # unused here; bench/tracing.py wraps it under this name
-    extremal_at_minus_one,
+    eval_extremal, extremal_at_minus_one,  # unused here; bench/tracing.py wraps both names
     extremal_coeff,
 )
 from .radii import BracketError, RadiusProblem, Variant, solve_radius
@@ -61,7 +60,7 @@ MAX_ATOMS = 10_000
 _BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: compare by identity
 class HerglotzMeasure:
     """Finite atomic probability measure on the unit circle."""
 
@@ -177,7 +176,7 @@ def caratheodory_to_member(c: np.ndarray, beta: "BetaParam | float") -> np.ndarr
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity, as HerglotzMeasure
 class ClassMember:
     """A concrete class member: `a` stores the Taylor coefficients with
     a[k] = a_{k+1} (so a[0] = 1), through the truncation order."""
@@ -287,21 +286,19 @@ def _coefficient_tail_bound(beta: BetaParam, order: int, r: float) -> float:
 
 
 def _radius_family(problem: RadiusProblem, order: int, r: float) -> _Family:
-    """The problem's Bohr (sum from n = 2) or Bohr-Rogosinski (sum from n = N)
-    majorant at |z| = r with w_n(z) = z^n against the level -f(-1).
+    """The problem's majorant at |z| = r with w_n(z) = z^n against its level.
 
-    The majorant of rows of member coefficients a_1..a_{order+1} is
-    lead + sum_n |a_n| r^n + tail + F(S_r/pi), where tail bounds the terms
-    beyond the truncation order.  The lead is the radius equation's,
-    RadiusProblem.lead: r^{mp}, or the sharp growth bound f(r^m)^p, which
-    reads +inf beyond the largest double and so fails the check.
+    The radius equation's three terms come from the problem: the majorant
+    of rows of member coefficients a_1..a_{order+1} is lead(r) +
+    sum_{n >= start} |a_n| r^n + tail + F(S_r/pi), where tail bounds the
+    terms beyond the truncation order, and it must stay below level =
+    -f(-1).  A lead beyond the largest double reads +inf and fails.
     """
     lead = problem.lead(r)
     beta, m, p, F = problem.beta, problem.m, problem.p, problem.F
     tail = _coefficient_tail_bound(beta, order, r)
-    start = 2 if problem.variant is Variant.BOHR_SCHWARZ else problem.N
+    start, level = problem.start, problem.level
     powers = r ** np.arange(start, order + 2, dtype=float)
-    level = -extremal_at_minus_one(beta)
 
     def evaluate(a: np.ndarray) -> tuple[np.ndarray, float]:
         body = np.sum(np.abs(a[:, start - 1 :]) * powers, axis=1)

@@ -88,8 +88,10 @@ class TestAreaPolynomial:
 
 class TestHatF:
     def test_branches(self):
-        assert hat_f(1, 0.3, 0.7) == 0.0
-        assert hat_f(2, 0.9, 0.4) == 0.4
+        # Bit for bit: the Bohr equation's head is hat_f(2, beta, r), once r.
+        for beta, r in ((0.3, 0.7), (0.9, 0.4), (0.5, 1e-300)):
+            assert hat_f(1, beta, r).hex() == (0.0).hex()
+            assert hat_f(2, beta, r).hex() == r.hex()
         assert hat_f(4, 0.0, 0.5) == pytest.approx(
             0.5 + 1.0 * 0.25 + (2.0 / 3.0) * 0.125, abs=1e-15
         )
@@ -99,6 +101,9 @@ class TestHatF:
             hat_f(0, 0.0, 0.5)
         with pytest.raises(ValueError):
             hat_f(2, 0.0, 1.0)
+        for N in (1, 2, 3):  # N = 1 once returned 0.0 for any beta
+            with pytest.raises(BetaDomainError):
+                hat_f(N, 5.0, 0.3)
 
     def test_memory_does_not_grow_with_N(self):
         # The sum stops where its terms fall below half an ulp of the total.
@@ -228,6 +233,12 @@ class TestEquationConstants:
         for prob in probs:
             for r in self.RADII:
                 assert prob.equation(r) == oracle_equation(prob, r), (prob, r)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_start_and_level(self, variant):
+        prob = problem(variant, beta=0.4, N=7)
+        assert prob.start == (2 if variant is Variant.BOHR_SCHWARZ else 7)
+        assert prob.level == -extremal_at_minus_one(0.4)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_f_minus_one_once_per_problem(self, monkeypatch, variant):

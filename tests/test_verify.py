@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abeta.radii
 import abeta.verify
 from abeta.bounds import (
+    LogCoeffPair,
     fekete_szego_bound,
     inverse_log_coeffs,
     inverse_log_diff_bounds,
@@ -227,6 +230,18 @@ class TestClassMember:
         for z in zs:
             assert generator_real_part(member, complex(z)) > -1e-8
 
+    def test_array_holding_values_compare_by_identity(self):
+        # == on the numpy fields once raised ValueError, hash TypeError.
+        member = ClassMember.extremal(0.3)
+        assert member == member and member != ClassMember.extremal(0.3)
+        assert len({member, HerglotzMeasure.two_atom_pm(), HerglotzMeasure.point_mass()}) == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            member.a = np.zeros(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            HerglotzMeasure.point_mass().weights = np.ones(1)
+        # Scalar-only values keep their value equality.
+        assert LogCoeffPair(0.5, 0.25) == LogCoeffPair(0.5, 0.25)
+
 
 class TestSums:
     def test_identity_member_sum(self):
@@ -327,6 +342,25 @@ class TestChecks:
         lhs = check_bohr(identity_member(beta, DEFAULT_ORDER), problem, r).lhs
         assert lhs == r ** (p * m) + (0.0 + _coefficient_tail_bound(beta, DEFAULT_ORDER, r))
 
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        beta=st.floats(min_value=0.0, max_value=0.9),
+        m=st.integers(min_value=1, max_value=3),
+        p=st.floats(min_value=0.25, max_value=4.0),
+        N=st.sampled_from([1, 2, 3, 10]),
+        lambdas=st.lists(st.floats(min_value=0.05, max_value=1.0), max_size=2),
+        r=st.floats(min_value=0.05, max_value=0.6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sharp_member_majorant_is_the_radius_equation(self, variant, beta, m, p, N, lambdas, r):
+        # The check sums the member's |a_n| r^n from n = start, the equation
+        # the extremal series as f(r) - hat_f(start, r); both take the lead,
+        # the start and the level from the problem.
+        F = AreaPolynomial(tuple(lambdas))
+        problem = RadiusProblem(variant, BetaParam(beta), m=m, p=p, N=N, F=F)
+        lhs = check_bohr(ClassMember.extremal(beta, order=128), problem, r).lhs
+        assert lhs - problem.level == pytest.approx(problem.equation(r), abs=1e-11)
+
     def test_overflowing_rogosinski_lead_fails_the_check(self):
         # f(r^m)^p beyond the largest double reads +inf, as in the solver.
         problem = RadiusProblem(Variant.BOHR_ROGOSINSKI, BetaParam(0.9), p=3000.0)
@@ -356,6 +390,20 @@ class TestSweep:
         a = falsification_sweep([0.25], cfg)
         b = falsification_sweep([0.25], cfg)
         assert a == b
+
+    def test_f_minus_one_once_per_radius_problem(self, monkeypatch):
+        # The solver and the check share the problem's level; the check once
+        # evaluated f(-1) again.
+        calls = []
+
+        def counted(beta):
+            calls.append(beta)
+            return extremal_at_minus_one(beta)
+
+        for module in (abeta.radii, abeta.verify):
+            monkeypatch.setattr(module, "extremal_at_minus_one", counted)
+        falsification_sweep([0.0, 0.5, 0.9], VerifyConfig(samples=10, seed=1))
+        assert len(calls) == 6
 
     def test_empty_grid(self):
         # An empty grid checks nothing; it once reported all_pass.

@@ -3,7 +3,8 @@
 Each command runs through ``abeta.cli.main`` in this one process, and each
 set's digest covers, command by command, the argv, the exit code, stdout
 and stderr.  A command that raises instead of returning an exit code is
-digested as the exception's type and message.  The sets:
+digested as the exception's type and message, and named on stderr once
+every digest is printed; the script then exits 1.  The sets:
 
 - ``golden``: every ``GOLDEN_STDOUT`` command of ``tests/test_cli.py``;
 - ``query_mix(3)``, ``sweep_grid(3)``, ``falsify(1)``, ``falsify(3)`` and
@@ -96,8 +97,10 @@ def command_sets(root: Path) -> dict[str, list[list[str]]]:
     }
 
 
-def digest(cli_main, commands: list[list[str]]) -> str:
+def digest(cli_main, commands: list[list[str]]) -> tuple[str, list[list[str]]]:
+    """The set's sha256 and the argv of each command that raised."""
     h = hashlib.sha256()
+    raised = []
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -105,8 +108,9 @@ def digest(cli_main, commands: list[list[str]]) -> str:
                 code = cli_main(list(argv))
             except Exception as exc:  # a traceback at the command line
                 code = f"{type(exc).__name__}: {exc}"
+                raised.append(argv)
         h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
-    return h.hexdigest()
+    return h.hexdigest(), raised
 
 
 def main() -> None:
@@ -123,8 +127,15 @@ def main() -> None:
 
     if root / "src" not in Path(cli.__file__).resolve().parents:
         raise SystemExit(f"imported abeta from {cli.__file__}, not from {root / 'src'}")
+    raised = []
     for name, commands in command_sets(root).items():
-        print(f"{digest(cli.main, commands)}  {name} ({len(commands)} commands)")
+        hexdigest, failed = digest(cli.main, commands)
+        print(f"{hexdigest}  {name} ({len(commands)} commands)")
+        raised += [(name, argv) for argv in failed]
+    for name, argv in raised:
+        print(f"raised: {name}: {argv}", file=sys.stderr)
+    if raised:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
