@@ -39,6 +39,8 @@ DEFAULT_ORDER = 64
 
 DEFAULT_SLACK = 1e-9
 
+_TAIL = 1e-16  # a radius majorant's sums stop where their certified tail is at most this
+
 # What the sweep checks: |a_n| for n = 2..N_MAX, Fekete-Szego at each mu of
 # MU_GRID, and the Bohr and Rogosinski (sections from ROGOSINSKI_N) radius
 # checks RADIUS_OFFSET inside their roots.
@@ -48,15 +50,16 @@ RADIUS_OFFSET = 1e-3
 ROGOSINSKI_N = 2
 
 # Most atoms a sampled measure may have: each sample's Herglotz product
-# builds DEFAULT_ORDER x atoms complex values (16 bytes each), about 10 MB at
-# this bound, and far more atoms would fail in numpy's allocator instead.
+# builds order x atoms complex values (16 bytes each): at this bound, 3-4 MB
+# at the sweep's per-beta order (19-26) and 10 MB at DEFAULT_ORDER; far more
+# atoms would fail in numpy's allocator instead.
 MAX_ATOMS = 10_000
 
 # Samples the sweep checks together.  No output depends on it, since sample
 # si is row si of its stream; it trades numpy's per-call overhead against
-# the (block x order) temporaries (with 4 atoms and order 64, 128-sample
-# blocks raised verify's peak RSS by ~0.8 MB, 64-sample ones by ~0.35 MB;
-# x86-64, numpy 2.4).
+# the (block x order) temporaries (with 4 atoms at the per-beta order, 19-26,
+# 128-sample blocks raised verify's peak RSS by ~0.7 MB over 1-sample ones,
+# 64-sample ones by ~0.35 MB; x86-64, numpy 2.4).
 _BLOCK = 64
 
 
@@ -129,8 +132,8 @@ def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> 
 
 
 # Complex entries of the (rows x order x atoms) exponentials built at once:
-# a 64-sample block of the default sweep (order 64, 4 atoms) in one piece,
-# and bounded for large atom counts.
+# a 64-sample block of the default sweep (order 19-26, 4 atoms) in one
+# piece, and bounded for large atom counts.
 _PRODUCT_ENTRIES = 1 << 14
 
 
@@ -276,35 +279,45 @@ def _normalized_area_rows(a: np.ndarray, r: float) -> np.ndarray:
     return np.sum(n * np.abs(a) ** 2 * (r * r) ** n, axis=1)
 
 
-def _coefficient_tail_bound(beta: BetaParam, order: int, r: float) -> float:
-    """Certified bound on sum_{n > order + 1} |a_n| r^n via the sharp coefficients."""
-    n0 = order + 2
-    tail = extremal_coeff(n0, beta) * r ** n0 / (1.0 - r)
-    if tail > 1e-9:
-        raise ValueError(f"truncation order {order} cannot certify the majorant at r = {r}")
-    return tail
+def _truncation(beta: BetaParam, order: int, r: float) -> tuple[int, float]:
+    """(k, tail): the least k <= order whose bound tail on sum_{n > k + 1} |a_n| r^n,
+    via the sharp coefficients, is <= _TAIL, or k = order if its tail is <= 1e-9."""
+    for k in range(order + 1):
+        tail = extremal_coeff(k + 2, beta) * r ** (k + 2) / (1.0 - r)
+        if tail <= _TAIL or (k == order and tail <= 1e-9):
+            return k, tail
+    raise ValueError(f"truncation order {order} cannot certify the majorant at r = {r}")
+
+
+def _area_tail(beta: BetaParam, n0: int, r: float) -> float:
+    """Bound on sum_{n >= n0} n |a_n|^2 rho^n, rho = r^2: |a_n| <= extremal_coeff(n), which
+    decreases from n0 >= 2 on, and sum_{n >= n0} n rho^n = rho^n0 (n0 - (n0-1) rho) / (1-rho)^2."""
+    rho = r * r
+    return extremal_coeff(n0, beta) ** 2 * rho**n0 * (n0 - (n0 - 1) * rho) / (1.0 - rho) ** 2
 
 
 def _radius_family(problem: RadiusProblem, order: int, r: float) -> _Family:
     """The problem's majorant at |z| = r with w_n(z) = z^n against its level.
 
     The radius equation's three terms come from the problem: the majorant
-    of rows of member coefficients a_1..a_{order+1} is lead(r) +
-    sum_{n >= start} |a_n| r^n + tail + F(S_r/pi), where tail bounds the
-    terms beyond the truncation order, and it must stay below level =
-    -f(-1).  A lead beyond the largest double reads +inf and fails.
+    of rows of member coefficients is lead(r) + sum_{n >= start} |a_n| r^n +
+    F(S_r/pi), both sums to n = k + 1 (k from _truncation) plus their
+    certified tails; it must stay below level = -f(-1).  Coefficients past
+    a_{k+1} are not read.  A lead beyond the largest double reads +inf and
+    fails.
     """
     lead = problem.lead(r)
     beta, m, p, F = problem.beta, problem.m, problem.p, problem.F
-    tail = _coefficient_tail_bound(beta, order, r)
+    k, tail = _truncation(beta, order, r)
     start, level = problem.start, problem.level
-    powers = r ** np.arange(start, order + 2, dtype=float)
+    powers = r ** np.arange(start, k + 2, dtype=float)
+    area_tail = _area_tail(beta, k + 2, r)
 
     def evaluate(a: np.ndarray) -> tuple[np.ndarray, float]:
-        body = np.sum(np.abs(a[:, start - 1 :]) * powers, axis=1)
+        body = np.sum(np.abs(a[:, start - 1 : k + 1]) * powers, axis=1)
         value = lead + (body + tail)
         if not F.is_zero:  # F(S_r/pi) = 0 otherwise: the area is not needed
-            value = value + F(_normalized_area_rows(a, r))
+            value = value + F(_normalized_area_rows(a[:, : k + 1], r) + area_tail)
         return value[:, None], level
 
     check_id = f"{problem.variant.value}[beta={beta.value:g},m={m},p={p:g},N={problem.N}]"
@@ -424,7 +437,8 @@ def falsification_sweep(
     si)`` rebuilds its measure.  Records are merged in grid order, so
     identical inputs produce identical summaries.  Each inequality family
     is built once per beta and evaluated on blocks of members: one array
-    expression per family and block.
+    expression per family and block.  Members are built only to the order
+    the families read: a_{N_MAX}, and each radius sum's certified order.
     """
     if len(beta_grid) == 0:
         raise ValueError("beta_grid: must hold at least one beta")
@@ -432,6 +446,7 @@ def falsification_sweep(
     for gi, beta in enumerate(beta_grid):
         bp = BetaParam(float(beta))
         families = [_coefficient_family(bp, N_MAX), _fs_and_log_family(bp)]
+        order = N_MAX - 1  # the coefficient family reads a_2..a_{N_MAX}
         for problem in (
             RadiusProblem(Variant.BOHR_SCHWARZ, bp, m=1, p=1.0),
             RadiusProblem(Variant.BOHR_ROGOSINSKI, bp, m=1, p=1.0, N=ROGOSINSKI_N),
@@ -444,10 +459,11 @@ def falsification_sweep(
             # Just inside the root; half of it for roots below twice the offset.
             at = root - min(RADIUS_OFFSET, 0.5 * root)
             families.append(_radius_family(problem, DEFAULT_ORDER, at))
+            order = max(order, _truncation(bp, DEFAULT_ORDER, at)[0])
         rng = np.random.default_rng([config.seed, gi])
         for start in range(0, config.samples, _BLOCK):
             rows = range(start, min(start + _BLOCK, config.samples))
-            c = _caratheodory_rows(*_sample_rows(rng, len(rows), config.atoms), DEFAULT_ORDER)
+            c = _caratheodory_rows(*_sample_rows(rng, len(rows), config.atoms), order)
             a = caratheodory_to_member(c, bp)
             for ids, witness, evaluate in families:
                 lhs, rhs = evaluate(a)

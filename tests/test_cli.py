@@ -512,8 +512,8 @@ GOLDEN_STDOUT = {
         'log_diff_lower,-0.46412673059676313,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'inverse_log_diff_upper,-0.34249631102578193,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
         'inverse_log_diff_lower,-0.11696592247647236,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        '"bohr[beta=0.5,m=1,p=1,N=1]",-0.021171224064261973,"r=0.1773657034066072, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
-        '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.016344796054229616,"r=0.15391781009884792, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
+        '"bohr[beta=0.5,m=1,p=1,N=1]",-0.021171224064261945,"r=0.1773657034066072, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
+        '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.01634479605422956,"r=0.15391781009884792, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
     ),
     ("verify", "--beta", "0.5", "--samples", "2", "--seed", "42", "--out-format", "json"): (
         "{\n"
@@ -702,13 +702,13 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "bohr[beta=0.5,m=1,p=1,N=1]",\n'
-        '      "max_violation": -0.021171224064261973,\n'
+        '      "max_violation": -0.021171224064261945,\n'
         '      "witness": "r=0.1773657034066072, mode=monomial, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "rogosinski[beta=0.5,m=1,p=1,N=2]",\n'
-        '      "max_violation": -0.016344796054229616,\n'
+        '      "max_violation": -0.01634479605422956,\n'
         '      "witness": "r=0.15391781009884792, mode=monomial, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    }\n"
@@ -749,7 +749,7 @@ GOLDEN_STDOUT = {
         'log_diff_lower,-0.0022138522294604668,"beta=0.9, seed=[7, 1], row=6",130,true\r\n'
         'inverse_log_diff_upper,-0.097663082870285578,"beta=0.9, seed=[7, 1], row=55",130,true\r\n'
         'inverse_log_diff_lower,-0.066831603321413247,"beta=0, seed=[7, 0], row=52",130,true\r\n'
-        '"bohr[beta=0,m=1,p=1,N=1]",-0.0024823750397279798,"r=0.2841940876622407, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
+        '"bohr[beta=0,m=1,p=1,N=1]",-0.0024823750397279243,"r=0.2841940876622407, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
         '"rogosinski[beta=0,m=1,p=1,N=2]",-0.0027265559813029472,"r=0.24275492842622712, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
         '"bohr[beta=0.9,m=1,p=1,N=1]",-0.0011815930545795855,"r=0.04477768414484444, mode=monomial, seed=[7, 1], row=55",65,true\r\n'
         '"rogosinski[beta=0.9,m=1,p=1,N=2]",-0.0013319003109232702,"r=0.04181613481087239, mode=monomial, seed=[7, 1], row=55",65,true\r\n'

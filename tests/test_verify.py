@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from abeta.extremal import BetaParam, eval_extremal, extremal_at_minus_one, extr
 from abeta.radii import ZERO_POLYNOMIAL, AreaPolynomial, RadiusProblem, Variant, solve_radius
 from abeta.verify import (
     _BLOCK,
+    _TAIL,
     DEFAULT_ORDER,
     MAX_ATOMS,
     MU_GRID,
@@ -31,9 +33,10 @@ from abeta.verify import (
     ClassMember,
     HerglotzMeasure,
     VerifyConfig,
+    _area_tail,
     _caratheodory_rows,
-    _coefficient_tail_bound,
     _sample_rows,
+    _truncation,
     check_bohr,
     check_coefficient_bounds,
     check_fs_and_log_bounds,
@@ -191,6 +194,20 @@ class TestBlockSampler:
             assert _bits(c[row]) == _bits(measure_to_caratheodory(mu)[1:])
             assert _bits(c[row]) == _bits(reference_caratheodory(mu))
 
+    @given(
+        atoms=st.integers(min_value=1, max_value=8),
+        rows=st.integers(min_value=1, max_value=70),
+        k=st.integers(min_value=N_MAX - 1, max_value=DEFAULT_ORDER),
+        seed=st.integers(min_value=0, max_value=2**64),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_lower_orders_are_prefixes_bit_for_bit(self, atoms, rows, k, seed):
+        # The sweep builds members only to its per-beta order; a witness
+        # rebuilt at DEFAULT_ORDER must hold the same c_1..c_k.
+        weights, angles = _sample_rows(np.random.default_rng(seed), rows, atoms)
+        full = _caratheodory_rows(weights, angles, DEFAULT_ORDER)
+        assert _bits(_caratheodory_rows(weights, angles, k)) == _bits(full[:, : k + 1])
+
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_block_size_does_not_change_the_summary(self, monkeypatch, block):
         config = VerifyConfig(samples=150, atoms=5, seed=13)
@@ -340,7 +357,7 @@ class TestChecks:
         problem = RadiusProblem(Variant.BOHR_SCHWARZ, beta, m=m, p=p)
         r = solve_radius(problem).root
         lhs = check_bohr(identity_member(beta, DEFAULT_ORDER), problem, r).lhs
-        assert lhs == r ** (p * m) + (0.0 + _coefficient_tail_bound(beta, DEFAULT_ORDER, r))
+        assert lhs == r ** (p * m) + (0.0 + _truncation(beta, DEFAULT_ORDER, r)[1])
 
     @given(
         variant=st.sampled_from(list(Variant)),
@@ -404,6 +421,19 @@ class TestSweep:
             monkeypatch.setattr(module, "extremal_at_minus_one", counted)
         falsification_sweep([0.0, 0.5, 0.9], VerifyConfig(samples=10, seed=1))
         assert len(calls) == 6
+
+    def test_members_are_built_to_the_per_beta_order(self, monkeypatch):
+        # Each beta's members reach the least order whose certified tail is
+        # <= _TAIL at both radii, and at least a_{N_MAX}; not DEFAULT_ORDER.
+        orders = []
+
+        def counted(weights, angles, order):
+            orders.append(order)
+            return _caratheodory_rows(weights, angles, order)
+
+        monkeypatch.setattr(abeta.verify, "_caratheodory_rows", counted)
+        falsification_sweep([0.0, 0.5, 0.9], VerifyConfig(samples=10, seed=1))
+        assert orders == [26, 19, 19]
 
     def test_empty_grid(self):
         # An empty grid checks nothing; it once reported all_pass.
@@ -616,6 +646,39 @@ class TestCertifiedTail:
         problem = RadiusProblem(Variant.BOHR_ROGOSINSKI, member.beta, N=2)
         exact = (self.r + self._series_rest()) + self._series_rest()
         assert exact <= check_bohr(member, problem, self.r).lhs <= exact + 1e-11
+
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        beta=st.floats(min_value=0.0, max_value=0.95),
+        atoms=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**64),
+        r=st.floats(min_value=0.0, max_value=0.3, exclude_min=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_majorant_certifies_the_order_96_sum(self, variant, beta, atoms, seed, r):
+        # The majorant stops where its certified tail is <= _TAIL, far below
+        # order 96: it must not fall below the order-96 sum (a correctly
+        # rounded sum; 2 ulp cover the float summation's own rounding) nor
+        # exceed it by more than the tail it adds.
+        member = ClassMember.from_measure(sample_measure(atoms, seed), beta, order=96)
+        problem = RadiusProblem(variant, member.beta, N=ROGOSINSKI_N)
+        start = problem.start
+        terms = np.abs(member.a[start - 1 :]) * r ** np.arange(start, 98, dtype=float)
+        full = math.fsum([problem.lead(r), *terms.tolist()])
+        ulp = math.ulp(full)
+        lhs = check_bohr(member, problem, r).lhs
+        assert full - 2 * ulp <= lhs <= full + 2 * _TAIL + 4 * ulp
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("n0", [3, 10, 21])
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.6])
+    def test_area_tail_bounds_the_extremal_remainder(self, beta, n0, r):
+        # sum_{n >= n0} n A_n^2 r^{2n} with A_n = 2 / ((1 - beta) n + beta),
+        # the largest |a_n| of any member, against the closed-form bound.
+        with mpmath.workdps(40):
+            b, rho = mpmath.mpf(beta), mpmath.mpf(r) ** 2
+            exact = mpmath.nsum(lambda n: n * (2 / ((1 - b) * n + b)) ** 2 * rho**n, [n0, mpmath.inf])
+            assert _area_tail(BetaParam(beta), n0, r) >= exact
 
 
 class TestVerifyConfig:
