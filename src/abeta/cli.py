@@ -23,6 +23,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -229,23 +230,31 @@ def _cmd_log_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def falsification_sweep(betas: Sequence[float], config: VerifyConfig) -> SweepSummary:
-    """:func:`abeta.verify.falsification_sweep`, imported on the first call:
-    verify needs numpy, and no other command should pay for loading it."""
-    from .verify import falsification_sweep as sweep
+def _verify_module():
+    """abeta.verify, imported on first use: it needs numpy, and no other
+    command should pay for loading it.  Unless the caller set it,
+    OPENBLAS_NUM_THREADS becomes 1 first: numpy's OpenBLAS otherwise starts
+    a busy worker per extra CPU at import, and verify's only BLAS call, an
+    atoms-long product per row, has no use for one."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import verify
 
-    return sweep(betas, config)
+    return verify
+
+
+def falsification_sweep(betas: Sequence[float], config: VerifyConfig) -> SweepSummary:
+    """:func:`abeta.verify.falsification_sweep` through `_verify_module`."""
+    return _verify_module().falsification_sweep(betas, config)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import VerifyConfig
-
     flag = "--beta-grid" if args.beta_grid else "--beta"
     betas = parse_grid(args.beta_grid, flag) if args.beta_grid else [args.beta]
     for b in betas:
         _beta(b, flag, strict=True)
     config = _validated(
-        VerifyConfig, samples=args.samples, atoms=args.atoms, seed=args.seed, slack=args.slack
+        _verify_module().VerifyConfig,
+        samples=args.samples, atoms=args.atoms, seed=args.seed, slack=args.slack,
     )
     try:
         summary = falsification_sweep(betas, config)

@@ -55,12 +55,15 @@ ROGOSINSKI_N = 2
 # atoms would fail in numpy's allocator instead.
 MAX_ATOMS = 10_000
 
+# Most samples per beta: at about 7 us each, 10^7 take a minute or two.
+MAX_SAMPLES = 10**7
+
 # Samples the sweep checks together.  No output depends on it, since sample
 # si is row si of its stream; it trades numpy's per-call overhead against
-# the (block x order) temporaries (with 4 atoms at the per-beta order, 19-26,
-# 128-sample blocks raised verify's peak RSS by ~0.7 MB over 1-sample ones,
-# 64-sample ones by ~0.35 MB; x86-64, numpy 2.4).
-_BLOCK = 64
+# the (block x order) temporaries: with 4 atoms at the per-beta order (19-26),
+# 1024-sample blocks cut a 3 x 3334-sample sweep from ~100 to ~70 ms and add
+# ~1.7 MB to verify's ~37 MB peak RSS over 64-sample ones (x86-64, numpy 2.4).
+_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: compare by identity
@@ -132,8 +135,8 @@ def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> 
 
 
 # Complex entries of the (rows x order x atoms) exponentials built at once:
-# a 64-sample block of the default sweep (order 19-26, 4 atoms) in one
-# piece, and bounded for large atom counts.
+# 157-215 rows of the default sweep (order 19-26, 4 atoms) per piece, and
+# bounded for large atom counts.
 _PRODUCT_ENTRIES = 1 << 14
 
 
@@ -373,6 +376,8 @@ class VerifyConfig:
         # Zero samples would check nothing and report all_pass.
         if self.samples < 1:
             raise ValueError(f"samples: must be >= 1, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples: must be <= {MAX_SAMPLES}, got {self.samples}")
         if self.atoms < 1:
             raise ValueError(f"atoms: must be >= 1, got {self.atoms}")
         if self.atoms > MAX_ATOMS:

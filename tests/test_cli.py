@@ -321,6 +321,12 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--beta", "0.5", "--samples", "0")
         assert (code, out, err) == (1, "", "error: --samples: must be >= 1, got 0\n")
 
+    def test_rejects_too_many_samples_without_sampling(self):
+        # 10^20 samples once ran until killed; a fresh process shows a hang.
+        proc = run_process("verify", "--beta", "0", "--samples", "100000000000000000000")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: --samples: must be <= 10000000, got 100000000000000000000\n"
+
     def test_rejects_too_many_atoms_before_sampling(self, capsys, monkeypatch):
         # 10^13 atoms once failed in numpy's allocator with a traceback.
         from abeta.verify import MAX_ATOMS
@@ -715,8 +721,8 @@ GOLDEN_STDOUT = {
         "  ]\n"
         "}\n"
     ),
-    # Two betas, 65 = 64 + 1 samples: the family fold order, checks summed
-    # across betas, and a block boundary.
+    # Two betas, 65 samples: the family fold order and checks summed across
+    # betas.
     ("verify", "--beta-grid", "0,0.9", "--samples", "65", "--atoms", "3", "--seed", "7",
      "--out-format", "csv"): (
         "id,max_violation,witness,checks,pass\r\n"
@@ -807,7 +813,7 @@ class TestOutPath:
 
 
 QUERY_COMMANDS_WITHOUT_NUMPY = """
-import contextlib, io, sys
+import contextlib, io, json, os, sys
 from abeta import cli
 for argv in (
     ["radius", "--beta", "0.3"],
@@ -820,19 +826,32 @@ for argv in (
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "a query command imported numpy"
+blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--beta", "0.3", "--samples", "4"]) == 0
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([blas_threads, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
 """
+
+
+def query_commands_then_verify(**environ):
+    """Run QUERY_COMMANDS_WITHOUT_NUMPY in a fresh interpreter whose
+    environment holds `environ` and no other OPENBLAS_NUM_THREADS (an
+    in-process verify may have set it here): OPENBLAS_NUM_THREADS after
+    the query commands, then after verify, and the native thread count."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(environ, PYTHONPATH=str(Path(abeta.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", QUERY_COMMANDS_WITHOUT_NUMPY],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 class TestNumpyOffTheQueryPath:
     def test_only_verify_imports_numpy(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(abeta.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", QUERY_COMMANDS_WITHOUT_NUMPY],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-        assert done.returncode == 0, done.stderr
+        query_commands_then_verify()
 
     def test_package_still_exports_verify_names(self):
         from abeta import VerifyConfig, falsification_sweep
@@ -860,6 +879,21 @@ class TestNumpyOffTheQueryPath:
         monkeypatch.setattr(cli, "falsification_sweep", lambda *a: calls.append(a) or sweep(*a))
         code, _, _ = run_quiet(["verify", "--beta", "0.3", "--samples", "2"])
         assert code == 0 and len(calls) == 1
+
+
+class TestOneBlasThread:
+    """verify, the only command that loads numpy, keeps OpenBLAS to one
+    thread unless the caller chose a count; the query commands leave the
+    environment alone."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_verify_runs_on_one_native_thread(self):
+        after_queries, after_verify, tasks = query_commands_then_verify()
+        assert (after_queries, after_verify, tasks) == (None, "1", 1)
+
+    def test_a_preset_thread_count_is_kept(self):
+        after_queries, after_verify, _ = query_commands_then_verify(OPENBLAS_NUM_THREADS="2")
+        assert after_queries == after_verify == "2"
 
 
 def run_quiet(argv):

@@ -25,6 +25,7 @@ from abeta.verify import (
     _TAIL,
     DEFAULT_ORDER,
     MAX_ATOMS,
+    MAX_SAMPLES,
     MU_GRID,
     N_MAX,
     RADIUS_OFFSET,
@@ -208,12 +209,19 @@ class TestBlockSampler:
         full = _caratheodory_rows(weights, angles, DEFAULT_ORDER)
         assert _bits(_caratheodory_rows(weights, angles, k)) == _bits(full[:, : k + 1])
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("block", [1, 7, 64, 1024, 5000])
     def test_block_size_does_not_change_the_summary(self, monkeypatch, block):
-        config = VerifyConfig(samples=150, atoms=5, seed=13)
-        expected = falsification_sweep([0.0, 0.5], config)
+        cases = [
+            ([0.0, 0.5], VerifyConfig(samples=150, atoms=5, seed=13)),
+            # Past the default block; numpy sums 9 terms pairwise.
+            ([0.5], VerifyConfig(samples=1100, atoms=9, seed=13)),
+            # 300 atoms split a block's product into chunks of two rows.
+            ([0.5], VerifyConfig(samples=150, atoms=300, seed=13)),
+        ]
+        expected = [falsification_sweep(beta_grid, config) for beta_grid, config in cases]
         monkeypatch.setattr(abeta.verify, "_BLOCK", block)
-        assert falsification_sweep([0.0, 0.5], config) == expected
+        for (beta_grid, config), summary in zip(cases, expected):
+            assert falsification_sweep(beta_grid, config) == summary, config
 
 
 class TestClassMember:
@@ -623,8 +631,10 @@ class TestWitnesses:
             _assert_witnesses_rebuild(beta_grid, config)
 
     @pytest.mark.parametrize("atoms", [1, 7, 100])
-    def test_rows_past_the_first_block_rebuild(self, atoms):
-        # 150 samples: witnesses fall in the second and third blocks too.
+    def test_rows_past_the_first_block_rebuild(self, atoms, monkeypatch):
+        # 150 samples in blocks of 64: witnesses fall in the second and
+        # third blocks too.
+        monkeypatch.setattr(abeta.verify, "_BLOCK", 64)
         _assert_witnesses_rebuild([0.0, 0.5], VerifyConfig(samples=150, atoms=atoms, seed=5))
 
 
@@ -695,3 +705,9 @@ class TestVerifyConfig:
         # Zero samples would check nothing and report all_pass.
         with pytest.raises(ValueError, match=f"^samples: must be >= 1, got {samples}$"):
             VerifyConfig(samples=samples)
+
+    def test_caps_the_samples_per_beta(self):
+        assert VerifyConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES == 10**7
+        for samples in (MAX_SAMPLES + 1, 10**20):
+            with pytest.raises(ValueError, match=f"^samples: must be <= 10000000, got {samples}$"):
+                VerifyConfig(samples=samples)
