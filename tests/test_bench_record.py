@@ -9,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).parents[1]
 
-META = {"nproc": 2, "commit": None, "src_lines": 1596}
+META = {"nproc": 2, "cpu_model": "Xeon", "python": "3.11.7", "numpy": "2.4.6",
+        "commit": None, "src_lines": 1596}
 SPEC = {
     "cpu_s": {"name": "cpu_s", "better": "lower", "bound": 0.25},
     "items_per_s": {"name": "items_per_s", "better": "higher", "bound": 0.25},
@@ -78,6 +79,16 @@ def test_a_gain_needs_nine_pairs_in_ten_and_a_gap_beyond_the_spread(tool):
     # Eight of ten is no gain, however large the difference.
     change = runs(tool, [(0.30, 100.0)] * 8 + [(0.9, 100.0)] * 2)
     assert tool.compare(parent, change, SPEC)["cpu_s"]["verdict"] == "within bound"
+    # Nor is a faster change whose runs fail operations the parent's did not.
+    change = runs(tool, [(0.30, 100.0)] * 9 + [(0.30, 100.0, 1)])
+    assert tool.compare(parent, change, SPEC)["cpu_s"]["verdict"] == "within bound"
+    # Failures count as a total: no more than the parent's leaves the gain.
+    parent[0]["failed"] = 1
+    for run in change:
+        run["correct"] = True
+    assert tool.compare(parent, change, SPEC)["cpu_s"]["verdict"] == "gain"
+    change[0]["correct"] = False
+    assert tool.compare(parent, change, SPEC)["cpu_s"]["verdict"] == "within bound"
 
 
 def test_higher_is_better_metrics_and_the_worse_and_unresolved_verdicts(tool):
@@ -96,16 +107,30 @@ def test_higher_is_better_metrics_and_the_worse_and_unresolved_verdicts(tool):
 
 
 def test_deltas_compare_the_change_medians_with_the_earlier_file(tool):
-    def doc(cpu_s):
+    def doc(cpu_s, seconds=6.0, **meta):
         summary = tool.summarize(runs(tool, [(cpu_s, 100.0)]))
-        return {"workloads": {"falsify-10k": {"change": {"summary": summary}}}}
+        change = {"meta": {**META, **meta}, "summary": summary}
+        workloads = {"falsify-10k": {"change": change}}
+        return {"seeds": [1, 2], "seconds": seconds, "workloads": workloads}
 
-    lines = tool.deltas(doc(0.5), doc(0.4))
+    lines = tool.deltas(doc(0.5), doc(0.4, commit="f" * 40))
     assert [line.split() for line in lines] == [
         ["falsify-10k", "cpu_s", "0.5", "->", "0.4", "-20.0%"],
         ["falsify-10k", "items_per_s", "100", "->", "100", "+0.0%"],
     ]
-    assert tool.deltas({"workloads": {}}, doc(0.4)) == ["falsify-10k: not in the earlier file"]
+    assert tool.deltas({**doc(0.5), "workloads": {}}, doc(0.4)) == [
+        "falsify-10k: not in the earlier file"
+    ]
+    # Runs of another length, on other seeds or on another host give no deltas.
+    assert tool.deltas(doc(0.5, seconds=35.0), doc(0.4)) == [
+        "not comparable: seconds 35.0 -> 6.0"
+    ]
+    assert tool.deltas({**doc(0.5), "seeds": [1]}, doc(0.4)) == [
+        "not comparable: seeds [1] -> [1, 2]"
+    ]
+    assert tool.deltas(doc(0.5, nproc=4, numpy="2.3.0"), doc(0.4)) == [
+        "falsify-10k: not comparable: nproc 4 -> 2, numpy 2.3.0 -> 2.4.6"
+    ]
 
 
 def test_newest_earlier_file_is_the_highest_number_below_the_output(tool, tmp_path):
@@ -149,7 +174,9 @@ def test_pairs_alternate_and_a_differing_bench_is_refused(tool, tmp_path, monkey
     }))
     monkeypatch.setattr(tool, "unpack", unpack)
     monkeypatch.setattr(tool, "run_bench", run_bench)
-    (tmp_path / "BENCH_20.json").write_text(json.dumps({"workloads": {}}))
+    monkeypatch.setattr(tool, "checkout_commit", lambda: ("e" * 40, True))
+    (tmp_path / "BENCH_20.json").write_text(json.dumps({"seeds": [4, 5, 6], "seconds": 6.0,
+                                                        "workloads": {}}))
     out = tmp_path / "BENCH_21.json"
 
     assert tool.main(["--out", str(out), "--against", "HEAD~1", "--seeds", "4", "5", "6"]) == 0
@@ -163,8 +190,14 @@ def test_pairs_alternate_and_a_differing_bench_is_refused(tool, tmp_path, monkey
     assert doc["src_lines"] == {"parent": 1596, "change": 1596}
     record = doc["workloads"]["falsify-10k"]
     assert [run["seed"] for run in record["parent"]["runs"]] == [4, 5, 6]
+    # Each side names what was measured, not what bench/run.py saw as HEAD.
+    parent_meta, change_meta = record["parent"]["meta"], record["change"]["meta"]
+    assert (parent_meta["commit"], parent_meta["dirty"]) == ("f" * 40, False)
+    assert (change_meta["commit"], change_meta["dirty"]) == ("e" * 40, True)
     assert record["compare"]["cpu_s"]["verdict"] == "gain"
-    assert "medians against BENCH_20.json" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "medians against BENCH_20.json" in out
+    assert "falsify-10k: not in the earlier file" in out
 
     monkeypatch.setattr(tool, "unpack", lambda rev, into: unpack(rev, into, "print(2)\n"))
     calls.clear()

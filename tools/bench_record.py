@@ -1,9 +1,9 @@
 """Run the benchmark over fixed seeds and record the result in a BENCH file.
 
     python3 tools/bench_record.py --out BENCH_<n>.json [--against REV] \
-        [--workload NAME ...] [--seeds S ...] [--seconds T]
+        [--seeds S ...] [--seconds T]
 
-For every workload (default: all of ``BENCHMARK.json``) and seed, the script
+For every workload of ``BENCHMARK.json`` and every seed, the script
 runs ``python3 bench/run.py --workload W --seed S --seconds T`` in this
 checkout and reads its end-to-end metrics.  With ``--against REV`` it also
 runs REV, unpacked from ``git archive`` into a temporary directory, seed by
@@ -16,18 +16,23 @@ metrics and, per metric, the median, the quartiles and the run count; with
 ``--against``, per metric, in how many pairs the change was better or worse
 (ties count for neither), the relative change of the medians and a verdict:
 
-- ``gain``: better in at least 9 of 10 pairs, and the medians differ by more
-  than the parent's interquartile range;
+- ``gain``: better in at least 9 of 10 pairs, the medians differ by more
+  than the parent's interquartile range, every change run is correct and
+  the change's runs fail no more operations than the parent's;
 - ``worse``: the change's median is worse than the parent's by more than the
   metric's bound in ``BENCHMARK.json``;
 - ``unresolved``: the parent's interquartile range exceeds that bound
   relative to its median, and not every change run beats every parent run;
 - ``within bound`` otherwise.
 
-Each side also records ``bench/run.py``'s ``meta`` line (with ``src_lines``).
-The script then prints the verdicts and the change in every median against
-the newest earlier ``BENCH_*.json`` beside ``--out``.  It needs only the
-standard library and what the benchmark itself needs.
+Each side also records ``bench/run.py``'s ``meta`` line (with ``src_lines``),
+its ``commit`` set to what was measured: REV's hash for the parent, this
+checkout's HEAD for the change, with ``dirty`` true when ``src/`` or
+``bench/`` differ from that commit.  The script then prints the verdicts
+and the change in every median against the newest earlier ``BENCH_*.json``
+beside ``--out``, unless the two files differ in seconds, seeds or host
+(``HOST_KEYS`` of the meta line), whose medians cannot be compared.  It
+needs only the standard library and what the benchmark itself needs.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GAIN_SHARE = 0.9
+HOST_KEYS = ("nproc", "cpu_model", "python", "numpy")
 
 
 def parse_run(stdout: str) -> dict:
@@ -84,6 +90,9 @@ def compare(parent: list[dict], change: list[dict], metrics: dict[str, dict]) ->
     and the verdict (see the module docstring).  parent[i] and change[i] are
     pair i; `metrics` maps each name to its BENCHMARK.json entry."""
     before, after = summarize(parent), summarize(change)
+    # A gain does not count where the change fails more operations.
+    sound = (all(run["correct"] for run in change)
+             and sum(run["failed"] for run in change) <= sum(run["failed"] for run in parent))
     verdicts = {}
     for name, spec in metrics.items():
         sign = 1.0 if spec["better"] == "lower" else -1.0
@@ -96,7 +105,7 @@ def compare(parent: list[dict], change: list[dict], metrics: dict[str, dict]) ->
         separated = all(
             sign * (p["metrics"][name] - c["metrics"][name]) > 0 for p in parent for c in change
         )
-        if better >= GAIN_SHARE * len(gains) and improvement > iqr:
+        if sound and better >= GAIN_SHARE * len(gains) and improvement > iqr:
             verdict = "gain"
         elif -improvement > spec["bound"] * abs(old["median"]):
             verdict = "worse"
@@ -117,12 +126,22 @@ def compare(parent: list[dict], change: list[dict], metrics: dict[str, dict]) ->
 
 def deltas(earlier: dict, now: dict) -> list[str]:
     """One line per workload and metric in both files: the change side's
-    median then and now."""
+    median then and now; one line saying why instead where the two were
+    run with other seconds, seeds or host."""
+    for key in ("seconds", "seeds"):
+        if earlier.get(key) != now[key]:
+            return [f"not comparable: {key} {earlier.get(key)} -> {now[key]}"]
     lines = []
     for workload, record in now["workloads"].items():
         then = earlier.get("workloads", {}).get(workload)
         if then is None:
             lines.append(f"{workload}: not in the earlier file")
+            continue
+        old_meta, meta = then["change"]["meta"], record["change"]["meta"]
+        moved = [f"{key} {old_meta.get(key)} -> {meta[key]}"
+                 for key in HOST_KEYS if old_meta.get(key) != meta[key]]
+        if moved:
+            lines.append(f"{workload}: not comparable: {', '.join(moved)}")
             continue
         for name, stat in record["change"]["summary"].items():
             old = then["change"]["summary"].get(name)
@@ -174,6 +193,16 @@ def unpack(rev: str, into: Path) -> str:
     return commit
 
 
+def checkout_commit() -> tuple[str, bool]:
+    """This checkout's HEAD, and whether src/ or bench/ differ from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                              check=True).stdout
+
+    dirty = git("status", "--porcelain", "--", "src", "bench")
+    return git("rev-parse", "HEAD").strip(), bool(dirty)
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One bench/run.py run in `tree`, parsed; its seed is added."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -185,10 +214,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"seed": seed, **parse_run(done.stdout)}
 
 
-def side_record(runs: list[dict]) -> dict:
-    """One side's runs as written to the BENCH file, with their summary."""
+def side_record(runs: list[dict], commit: str, dirty: bool) -> dict:
+    """One side's runs as written to the BENCH file, with their summary;
+    `commit` and `dirty` replace the meta line's commit."""
     return {
-        "meta": runs[0]["meta"],
+        "meta": {**runs[0]["meta"], "commit": commit, "dirty": dirty},
         "failed": sum(run["failed"] for run in runs),
         "correct": all(run["correct"] for run in runs),
         "runs": [{k: run[k] for k in ("seed", "correct", "failed", "metrics")} for run in runs],
@@ -222,8 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True, help="BENCH file to write")
     parser.add_argument("--against", metavar="REV", help="git revision to pair each run with")
-    parser.add_argument("--workload", action="append", choices=names,
-                        help="repeatable (default: every workload)")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     parser.add_argument("--seconds", type=float, default=6.0)
     args = parser.parse_args(argv)
@@ -240,15 +268,16 @@ def main(argv: list[str] | None = None) -> int:
                       file=sys.stderr)
                 return 1
         doc = {"seeds": args.seeds, "seconds": args.seconds, "against": commit, "workloads": {}}
-        for workload in args.workload or names:
+        head, dirty = checkout_commit()
+        for workload in names:
             change, parent = [], []
             for i, seed in enumerate(args.seeds):
                 sides = [(change, ROOT)] + ([(parent, parent_tree)] if parent_tree else [])
                 for runs, tree in sides if i % 2 == 0 else sides[::-1]:
                     runs.append(run_bench(tree, workload, seed, args.seconds))
-            record = {"change": side_record(change)}
+            record = {"change": side_record(change, head, dirty)}
             if parent:
-                record["parent"] = side_record(parent)
+                record["parent"] = side_record(parent, commit, False)
                 record["compare"] = compare(parent, change, metrics)
             doc["workloads"][workload] = record
             report(workload, record)
