@@ -10,17 +10,15 @@ Caratheodory functional bounds it reduces to (|c2 - v*c1^2| and Psi+/Psi-).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .extremal import beta_value
 
 
-@dataclass(frozen=True)
-class LogCoeffPair:
+class LogCoeffPair(namedtuple("LogCoeffPair", "first second")):
     """First two logarithmic coefficients (of a member or of its inverse)."""
 
-    first: complex
-    second: complex
+    __slots__ = ()
 
     @property
     def moduli_difference(self) -> float:

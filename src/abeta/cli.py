@@ -17,15 +17,12 @@ round-trip repr; either way every double reads back exactly.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import itertools
-import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .bounds import fekete_szego_bound, inverse_log_diff_bounds, log_diff_bounds
 from .extremal import BetaDomainError, BetaParam, ConvergenceError
@@ -39,6 +36,7 @@ from .radii import (
     solve_radius,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .verify import SweepSummary, VerifyConfig
 
@@ -153,10 +151,15 @@ def _cell(v: object) -> str:
 def _write(args: argparse.Namespace, doc: dict | None, rows: Sequence[dict] | None = None) -> None:
     """Write `doc` as JSON, or `rows` (by default `doc` alone) as CSV, to
     --out-path or stdout.  The CSV header is the first row's keys and every
-    cell goes through `_cell`."""
+    cell goes through `_cell`.  Each format's module is imported here, so a
+    command loads only the one it writes."""
     if args.out_format == "json":
+        import json
+
         text = json.dumps(doc, indent=2) + "\n"
     else:
+        import csv
+
         if rows is None:
             rows = [doc]
         buf = io.StringIO()
@@ -248,6 +251,8 @@ def falsification_sweep(betas: Sequence[float], config: VerifyConfig) -> SweepSu
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from dataclasses import asdict  # loaded by abeta.verify anyway
+
     flag = "--beta-grid" if args.beta_grid else "--beta"
     betas = parse_grid(args.beta_grid, flag) if args.beta_grid else [args.beta]
     for b in betas:
@@ -271,7 +276,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     doc = {
         "beta_grid": betas,
-        **dataclasses.asdict(config),
+        **asdict(config),
         "all_pass": summary.all_pass,
         "inequalities": inequalities,
     }

@@ -14,8 +14,6 @@ asymptotic expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 
 class ConvergenceError(RuntimeError):
@@ -26,8 +24,37 @@ class BetaDomainError(ValueError):
     """beta lies outside the range required by the requested operation."""
 
 
-@dataclass(frozen=True)
-class BetaParam:
+class Frozen:
+    """Base of the package's immutable value types: equality, hash and repr
+    over the class's `_fields`, as a frozen dataclass gives them, without
+    importing dataclasses.  __init__ sets each slot with object.__setattr__."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BetaParam(Frozen):
     """Filtration parameter beta in [0, 1].
 
     Radius computations additionally require beta < 1 (the extremal
@@ -35,12 +62,12 @@ class BetaParam:
     :meth:`require_strict` to enforce that.
     """
 
-    value: float
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        v = float(self.value)
+    def __init__(self, value: float) -> None:
+        v = float(value)
         if not (0.0 <= v <= 1.0) or math.isnan(v):
-            raise BetaDomainError(f"beta must lie in [0, 1], got {self.value!r}")
+            raise BetaDomainError(f"beta must lie in [0, 1], got {value!r}")
         object.__setattr__(self, "value", v)
 
     def require_strict(self) -> float:
@@ -79,24 +106,11 @@ def extremal_coeff(n: int, beta: "BetaParam | float") -> float:
     return 2.0 / ((1.0 - b) * n + b)
 
 
-def _series_terms(series: str, r: float, estimate: float, tail: Callable[[int], float]) -> int:
-    """Smallest n >= 1 with tail(n) <= TOLERANCE, where tail(n) bounds the
-    series beyond its n-th term and decreases in n.
-
-    The search starts from a closed-form estimate of n, usually within one
-    or two terms of the answer, so the summing loop tests nothing per term.
-    """
-    n = max(math.ceil(estimate), 1)
-    while n <= MAX_TERMS and tail(n) > TOLERANCE:
-        n += 1
-    if n > MAX_TERMS:
-        raise ConvergenceError(
-            f"{series} at r = {r}: tail bound above tolerance {TOLERANCE:.3e} "
-            f"within the cap of {MAX_TERMS} terms"
-        )
-    while n > 1 and tail(n - 1) <= TOLERANCE:
-        n -= 1
-    return n
+def _too_long(series: str, r: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"{series} at r = {r}: tail bound above tolerance {TOLERANCE:.3e} "
+        f"within the cap of {MAX_TERMS} terms"
+    )
 
 
 def eval_extremal(r: float, beta: "BetaParam | float") -> float:
@@ -116,18 +130,22 @@ def eval_extremal(r: float, beta: "BetaParam | float") -> float:
         return 0.0
     s = 1.0 - b
     # a_{n+1} q^n = 2 q^n / (s (n+1) + b) meets TOLERANCE (1 - q) near
-    # n log(1/q) + log(s n + b) = a; one fixed-point step from n = a / log(1/q).
+    # n log(1/q) + log(s n + b) = a; one fixed-point step from n = a / log(1/q)
+    # lands a term or two from the least n >= 1 whose tail bound a_{n+1} q^n /
+    # (1 - q) is <= TOLERANCE, and n steps there (the second loop tests the
+    # bound at n - 1).  The summing loop then tests nothing per term.
     log_inv_q = -math.log(q)
     a = math.log(2.0 / (TOLERANCE * (1.0 - q)))
-    n_max = _series_terms(
-        "extremal series",
-        r,
-        (a - math.log(s * a / log_inv_q + b)) / log_inv_q,
-        lambda n: 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q),
-    )
+    n = max(math.ceil((a - math.log(s * a / log_inv_q + b)) / log_inv_q), 1)
+    while n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q) > TOLERANCE:
+        n += 1
+    if n > MAX_TERMS:
+        raise _too_long("extremal series", r)
+    while n > 1 and 2.0 / (s * n + b) * q ** (n - 1) / (1.0 - q) <= TOLERANCE:
+        n -= 1
     # term n is 2 r^n / d with d = s n + b, stepped from d = 1 at n = 1.
     total, power, d = 0.0, r, 1.0
-    for _ in range(n_max - 1):
+    for _ in range(n - 1):
         power *= r
         d += s
         total += power / d
@@ -195,30 +213,37 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
         return 0.0
     s = 1.0 - b
 
-    def tail(n: int) -> float:
-        # Ratio test: t_{k+1}/t_k <= x * (n+2)/(n+1) < q for every k > n.
-        q = x * (n + 1) / n
-        if q >= 1.0:
-            return math.inf
-        return 4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q)
-
     # t_k = 4 k x^k / (s k + b)^2 meets TOLERANCE (1 - x) where
     # k log(1/x) = a + log(k / (s k + b)^2); one fixed-point step from
-    # k = a / log(1/x).
+    # k = a / log(1/x).  From there, the least n >= 1 whose tail bound is
+    # <= TOLERANCE, as in eval_extremal.
     log_inv_x = -math.log(x)
     a = math.log(4.0 / (TOLERANCE * (1.0 - x)))
     k = a / log_inv_x
-    n_max = _series_terms(
-        "area series", r, (a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0, tail
-    )
-    # term n is 4 n x^n / d^2 with d = s n + b, stepped from d = 1 at n = 1.
-    total, power, n, d = 0.0, x, 1.0, 1.0
-    for _ in range(n_max - 1):
+    n = max(math.ceil((a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0), 1)
+    while n <= MAX_TERMS and _area_tail(n, s, b, x) > TOLERANCE:
+        n += 1
+    if n > MAX_TERMS:
+        raise _too_long("area series", r)
+    while n > 1 and _area_tail(n - 1, s, b, x) <= TOLERANCE:
+        n -= 1
+    # term j is 4 j x^j / d^2 with d = s j + b, stepped from d = 1 at j = 1.
+    total, power, j, d = 0.0, x, 1.0, 1.0
+    for _ in range(n - 1):
         power *= x
-        n += 1.0
+        j += 1.0
         d += s
-        total += n * power / (d * d)
+        total += j * power / (d * d)
     return x + 4.0 * total
+
+
+def _area_tail(n: int, s: float, b: float, x: float) -> float:
+    """Bound on the area series beyond its n-th term (x = r^2, s = 1 - beta)."""
+    # Ratio test: t_{k+1}/t_k <= x * (n+2)/(n+1) < q for every k > n.
+    q = x * (n + 1) / n
+    if q >= 1.0:
+        return math.inf
+    return 4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q)
 
 
 def growth_envelope(r: float, beta: "BetaParam | float") -> tuple[float, float]:

@@ -15,13 +15,13 @@ evaluations after bracketing, against about 10 on the radius equations.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .extremal import (
     BetaParam,
+    Frozen,
     area_majorant,
     beta_value,
     eval_extremal,
@@ -59,25 +59,23 @@ class Variant(enum.Enum):
     BOHR_ROGOSINSKI = "rogosinski"
 
 
-@dataclass(frozen=True)
-class AreaPolynomial:
+class AreaPolynomial(Frozen):
     """Monotone polynomial lambda_1 w + ... + lambda_k w^k with lambda_j >= 0.
 
     Nonnegative coefficients guarantee monotonicity and F(0) = 0, the
-    contract the radius equations need.  An empty tuple is F == 0.
+    contract the radius equations need.  An empty tuple is F == 0, and
+    is_zero says whether every coefficient is 0.
     """
 
-    lambdas: tuple[float, ...] = ()
+    _fields = ("lambdas",)
+    __slots__ = (*_fields, "is_zero")
 
-    def __post_init__(self) -> None:
-        lams = tuple(float(l) for l in self.lambdas)
+    def __init__(self, lambdas: tuple[float, ...] = ()) -> None:
+        lams = tuple(float(l) for l in lambdas)
         if not all(math.isfinite(l) and l >= 0 for l in lams):
             raise ValueError(f"all polynomial coefficients must be finite and >= 0: {lams}")
         object.__setattr__(self, "lambdas", lams)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(l == 0.0 for l in self.lambdas)
+        object.__setattr__(self, "is_zero", all(l == 0.0 for l in lams))
 
     def __call__(self, w: float) -> float:
         """Horner's rule; on a float64 array, the same operations per element."""
@@ -92,48 +90,39 @@ ZERO_POLYNOMIAL = AreaPolynomial()
 _BOHR = Variant.BOHR_SCHWARZ
 
 
-@dataclass(frozen=True)
-class RadiusProblem:
+class RadiusProblem(Frozen):
     """Specification of one radius equation.
 
     N is only meaningful for the Rogosinski variant (start index of the
     coefficient tail); it is carried but ignored for the plain Bohr
     equation.  Each validation error starts with the name of the offending
-    field.
+    field.  Two terms of the equation are fixed per problem: start, the
+    first index n of the majorant's sum (2 for Bohr, N for Rogosinski), and
+    level, -f(-1) of the extremal function, the bound on the majorant at
+    every r.
     """
 
-    variant: Variant
-    beta: BetaParam
-    m: int = 1
-    p: float = 1.0
-    N: int = 1
-    F: AreaPolynomial = ZERO_POLYNOMIAL
+    _fields = ("variant", "beta", "m", "p", "N", "F")
+    __slots__ = (*_fields, "start", "level")
 
-    def __post_init__(self) -> None:
-        beta = self.beta if isinstance(self.beta, BetaParam) else BetaParam(self.beta)
+    def __init__(self, variant: Variant, beta: BetaParam, m: int = 1, p: float = 1.0,
+                 N: int = 1, F: AreaPolynomial = ZERO_POLYNOMIAL) -> None:
+        beta = beta if isinstance(beta, BetaParam) else BetaParam(beta)
         beta.require_strict()
-        object.__setattr__(self, "beta", beta)
-        if self.m < 1:
-            raise ValueError(f"m: must be a positive integer, got {self.m}")
-        if self.m > sys.float_info.max:  # r ** m needs m as a double
+        if m < 1:
+            raise ValueError(f"m: must be a positive integer, got {m}")
+        if m > sys.float_info.max:  # r ** m needs m as a double
             raise ValueError(f"m: must not exceed the largest double, {sys.float_info.max!r}")
-        if not 0 < self.p < math.inf:
-            raise ValueError(f"p: must be positive and finite, got {self.p}")
-        if self.N < 1:
-            raise ValueError(f"N: must be a positive integer, got {self.N}")
-        if not isinstance(self.F, AreaPolynomial):
-            raise TypeError(f"F: must be an AreaPolynomial, got {self.F!r}")
-
-    # Cached: equation reads it on every call, and a property call costs more.
-    @functools.cached_property
-    def start(self) -> int:
-        """First index n of the majorant's sum: 2 (Bohr) or N (Rogosinski)."""
-        return 2 if self.variant is _BOHR else self.N
-
-    @functools.cached_property
-    def level(self) -> float:
-        """-f(-1) of the extremal function, the bound on the majorant at every r."""
-        return -extremal_at_minus_one(self.beta)
+        if not 0 < p < math.inf:
+            raise ValueError(f"p: must be positive and finite, got {p}")
+        if N < 1:
+            raise ValueError(f"N: must be a positive integer, got {N}")
+        if not isinstance(F, AreaPolynomial):
+            raise TypeError(f"F: must be an AreaPolynomial, got {F!r}")
+        for name, value in zip(self._fields, (variant, beta, m, p, N, F)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "start", 2 if variant is _BOHR else N)
+        object.__setattr__(self, "level", -extremal_at_minus_one(beta))
 
     def lead(self, r: float) -> float:
         """r^{pm} (Bohr) or f(r^m)^p (Rogosinski) at |z| = r; +inf past the largest double."""
@@ -157,14 +146,10 @@ class RadiusProblem:
         return lead + eval_extremal(r, beta) - hat_f(self.start, beta, r) + area - self.level
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(namedtuple("RootResult", "root bracket residual iterations")):
     """A certified root: bracket straddles the sign change, width <= tol."""
 
-    root: float
-    bracket: tuple[float, float]
-    residual: float
-    iterations: int
+    __slots__ = ()
 
 
 def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
@@ -172,8 +157,8 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
 
     Exactly 0 for N = 1, r for N = 2 (the Bohr start), and r +
     sum_{n=2}^{N-1} a_n r^n for N >= 3.  The terms decrease, so the sum
-    stops at the first term below half an ulp of the total: it and every
-    later term would be rounded away.
+    stops at the first term that adding would round away: every later
+    term would be rounded away too.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -185,7 +170,7 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
     total = r
     for n in range(2, N):
         term = 2.0 / ((1.0 - b) * n + b) * r ** n  # extremal_coeff(n, b) * r ** n
-        if term < 0.5 * math.ulp(total):
+        if total + term == total:
             break
         total += term
     return total

@@ -853,6 +853,18 @@ class TestNumpyOffTheQueryPath:
     def test_only_verify_imports_numpy(self):
         query_commands_then_verify()
 
+    def test_cli_import_skips_stdlib_the_query_path_does_not_use(self):
+        # -S: a site .pth may itself import typing and its dependencies.
+        loaded = ("dataclasses", "inspect", "typing", "json", "csv")
+        done = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys, abeta.cli; print([m for m in {loaded!r} if m in sys.modules])"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(abeta.__file__).parents[1])},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     def test_package_still_exports_verify_names(self):
         from abeta import VerifyConfig, falsification_sweep
         from abeta import verify

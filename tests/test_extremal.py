@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeta.extremal import (
@@ -17,7 +17,7 @@ from abeta.extremal import (
     extremal_coeff,
     growth_envelope,
 )
-from oracles import boundary_series_euler
+from oracles import area_majorant_by_closure, boundary_series_euler, eval_extremal_by_closure
 
 
 def f_tilde_beta0(r: float) -> float:
@@ -239,6 +239,50 @@ class TestGrowthEnvelope:
     def test_ordered_and_nonnegative(self, r, beta):
         lower, upper = growth_envelope(r, beta)
         assert 0.0 < lower <= upper
+
+
+def outcome(evaluate, *args) -> str:
+    """The result's bits, or the ConvergenceError it raised."""
+    try:
+        return evaluate(*args).hex()
+    except ConvergenceError as exc:
+        return repr(exc)
+
+
+# |r| in (0, 1) at every scale: zero, subnormal, ordinary, series thousands
+# of terms long (near 1), and past the MAX_TERMS cap (nearer still).
+MODULI = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.9999, 1.0 - 1e-6, 1.0 - 2**-53]),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.floats(min_value=0.99, max_value=0.999),
+)
+BETAS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0 - 2**-53]),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+
+
+class TestSeriesSizing:
+    """The inlined sizing gives the bits the closure-sized oracles give.
+
+    The explicit examples step down from the estimate to the least n,
+    which few random draws do."""
+
+    @given(q=MODULI, negative=st.booleans(), beta=BETAS)
+    @settings(max_examples=300, deadline=None)
+    @example(q=1.061e-06, negative=False, beta=0.06)
+    @example(q=0.0001184, negative=True, beta=0.08)
+    def test_eval_extremal(self, q, negative, beta):
+        r = -q if negative else q
+        assert outcome(eval_extremal, r, beta) == outcome(eval_extremal_by_closure, r, beta)
+
+    @given(r=MODULI, beta=st.one_of(BETAS, st.just(1.0)))
+    @settings(max_examples=300, deadline=None)
+    @example(r=0.9608, beta=0.98)
+    @example(r=0.9081, beta=0.98)
+    def test_area_majorant(self, r, beta):
+        assert outcome(area_majorant, r, beta) == outcome(area_majorant_by_closure, r, beta)
 
 
 class TestConfigValidation:

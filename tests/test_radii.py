@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import abeta.radii
 from abeta import cli
@@ -34,7 +36,7 @@ from abeta.radii import (
     hat_f,
     solve_radius,
 )
-from oracles import monotone_spot_check
+from oracles import hat_f_by_ulp, monotone_spot_check
 
 F_MINUS_ONE_B0 = 1.0 - 2.0 * math.log(2.0)
 
@@ -114,6 +116,27 @@ class TestHatF:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @given(
+        N=st.one_of(st.integers(1, 10**4), st.sampled_from([3, 10**4])),
+        beta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        r=st.one_of(
+            st.sampled_from([0.0, 5e-324, 0.5, 0.9999, 1.0 - 2**-53]),
+            st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.floats(min_value=0.99, max_value=1.0, exclude_max=True),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    # At beta = 1 the terms are 2 r^n: a term of exactly half an ulp of the
+    # total comes at n = 54 for r = 1/2 (rounded up, to even) and at n = 28
+    # for r = 1/4 (rounded away, to even).
+    @example(N=60, beta=1.0, r=0.5)
+    @example(N=40, beta=1.0, r=0.25)
+    def test_stop_rule_matches_the_half_ulp_rule(self, N, beta, r):
+        # Stopping where the sum rounds a term away gives the bits of
+        # stopping below half an ulp, exact ties included.
+        assert hat_f(N, beta, r).hex() == hat_f_by_ulp(N, beta, r).hex()
 
 
 class TestEquations:
