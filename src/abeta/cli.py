@@ -50,6 +50,8 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the top-level parser's, by subcommand name
+
     # argparse exits with status 2 by default; the contract is 1 for any
     # validation problem, including unknown flags.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -309,6 +311,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="abeta", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_output(
         p: _Parser, default_format: str, formats: tuple[str, ...] = ("csv", "json")
@@ -377,12 +380,19 @@ _parser: tuple[Callable[[], _Parser], _Parser] | None = None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one command; the parser is built on the first call only."""
+    """Run one command (argv defaults to sys.argv[1:]); the parser is built
+    on the first call only.  A known subcommand's flags are parsed once, by
+    its own parser; any other argv takes the full parse and its messages."""
     global _parser
     if _parser is None or _parser[0] is not build_parser:
         _parser = (build_parser, build_parser())
+    parser = _parser[1]
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in parser.commands:
+        parser, argv = parser.commands[argv[0]], argv[1:]
     try:
-        args = _parser[1].parse_args(argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError, BracketError, ConvergenceError) as exc:
         # BetaDomainError is a ValueError; solver errors carry the reason.

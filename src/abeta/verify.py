@@ -147,17 +147,20 @@ def _caratheodory_rows(weights: np.ndarray, angles: np.ndarray, order: int) -> n
     Each row is its own matrix-vector product, so a row's coefficients do
     not depend on the rows beside it or on how many rows are computed
     together: the sweep's blocks and a one-measure call give the same bits.
+    Orders below 2 are the first columns of the order-2 product: numpy
+    multiplies a one-row matrix by another route, whose bits differ.
     """
     rows, atoms = weights.shape
-    n = np.arange(1, order + 1, dtype=float)[:, None]
-    step = max(1, _PRODUCT_ENTRIES // (order * atoms))
-    c = np.empty((rows, order + 1), dtype=complex)
+    width = max(order, 2)
+    n = np.arange(1, width + 1, dtype=float)[:, None]
+    step = max(1, _PRODUCT_ENTRIES // (width * atoms))
+    c = np.empty((rows, width + 1), dtype=complex)
     c[:, 0] = 1.0
     for start in range(0, rows, step):
         w, t = weights[start : start + step], angles[start : start + step]
         product = np.exp(1j * (n * t[:, None, :])) @ w[..., None]
         c[start : start + step, 1:] = 2.0 * product[..., 0]
-    return c
+    return c[:, : order + 1]
 
 
 def caratheodory_to_member(c: np.ndarray, beta: "BetaParam | float") -> np.ndarray:

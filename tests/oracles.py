@@ -9,11 +9,13 @@ none of them is needed by the library itself.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from abeta import cli
 from abeta.extremal import (
     MAX_TERMS,
     TOLERANCE,
@@ -22,6 +24,7 @@ from abeta.extremal import (
     beta_value,
     extremal_coeff,
 )
+from abeta.radii import BracketError
 from abeta.verify import DEFAULT_ORDER, TWO_PI, ClassMember, HerglotzMeasure, _normalized_area_rows
 
 
@@ -302,3 +305,18 @@ def generator_real_part(member: ClassMember, z: complex) -> float:
     n = np.arange(1, member.a.size + 1, dtype=float)
     p = ((1.0 - b) * n + b) * member.a
     return float(np.polynomial.polynomial.polyval(z, p).real)
+
+
+# -- The command line's parse, by the top-level parser for every argv --
+
+
+def cli_main_full_parse(argv=None) -> int:
+    """cli.main as it ran before known subcommands skipped the top-level
+    parser: a fresh parser tree parses every argv from the top."""
+    parser = cli.build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except (cli.CliError, ValueError, BracketError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

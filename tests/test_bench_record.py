@@ -211,3 +211,36 @@ def test_a_missing_output_directory_is_refused_before_any_run(tool, tmp_path, mo
     with pytest.raises(SystemExit) as exit_info:
         tool.main(["--out", str(tmp_path / "missing" / "BENCH_1.json")])
     assert exit_info.value.code == 2
+
+
+def test_the_query_mix_report_leads_with_its_scaled_metrics(tool, capsys):
+    names = ["setup_s", "wall_s", "cpu_s", "peak_rss_mb", "items_per_s", "cmd_p50_ms"]
+    spec = {name: {"name": name, "better": "higher" if name == "items_per_s" else "lower",
+                   "bound": 0.25} for name in names}
+
+    def side(scale):
+        return [{"seed": i, "meta": META, "correct": True, "failed": 0,
+                 "metrics": {name: scale * (1.0 + i / 10) for name in names}} for i in range(3)]
+
+    parent, change = side(1.0), side(0.9)
+    record = {"change": tool.side_record(change, "e" * 40, False),
+              "parent": tool.side_record(parent, "f" * 40, False),
+              "compare": tool.compare(parent, change, spec)}
+    for workload in ("query-mix", "sweep-grid"):
+        tool.report(workload, record)
+    lines = capsys.readouterr().out.splitlines()
+    query, sweep = lines[1:7], lines[8:14]
+    assert [line.split(" 1")[0].strip() for line in query] == [
+        "items_per_s", "cmd_p50_ms", "setup_s", "wall_s (raw)", "cpu_s (raw)", "peak_rss_mb",
+    ]
+    assert [line.split()[0] for line in sweep] == names
+    assert query[0].endswith("-10.0%  better 0/3  within bound")
+    assert query[1].endswith("-10.0%  better 3/3  gain")
+    # Without --against, one side's medians in the same order.
+    del record["parent"]
+    tool.report("query-mix", record)
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "  items_per_s  0.99 [0.945, 1.035]",
+        "  cmd_p50_ms   0.99 [0.945, 1.035]",
+        "  setup_s      0.99 [0.945, 1.035]",
+    ]

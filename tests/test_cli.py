@@ -17,6 +17,7 @@ from abeta import cli
 from abeta.cli import CliError, main, parse_grid
 from abeta.extremal import BetaParam
 from abeta.radii import RadiusProblem, Variant, solve_radius
+from oracles import cli_main_full_parse
 
 FS_B0_ROOT = 0.28519408762  # independent bisection value, beta=0, m=1
 
@@ -1039,3 +1040,63 @@ def test_exit_code_contract_over_one_process(commands):
         assert code in (0, 1, 2), argv
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def run_caught(cli_main, argv):
+    """cli_main(argv) with its output captured: (exit code, or the
+    SystemExit code as ("exit", code), stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # --help
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+DISPATCH_EDGES = [
+    [],
+    ["nope"],
+    ["radius"],
+    ["radius", "--bogus", "1"],
+    ["-h"],
+    ["--help"],
+    ["radius", "-h"],
+    ["verify", "--help"],
+]
+
+
+class TestDispatch:
+    """main sends a known subcommand straight to its own parser; the exit
+    code, stdout and stderr are those of the full top-level parse."""
+
+    @pytest.mark.parametrize("argv", FAILING + VALID + DISPATCH_EDGES)
+    def test_same_as_the_full_parse(self, argv):
+        assert run_caught(main, argv) == run_caught(cli_main_full_parse, argv)
+
+    @given(fuzz_argv())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_commands_same_as_the_full_parse(self, argv):
+        assert run_caught(main, argv) == run_caught(cli_main_full_parse, argv)
+
+    def test_a_tuple_argv(self):
+        argv = ("fs-bound", "--beta", "0.5", "--mu", "0,1")
+        result = run_caught(main, argv)
+        assert result[0] == 0 and result == run_caught(cli_main_full_parse, argv)
+
+    @pytest.mark.parametrize("argv", [["radius", "--beta", "0.3"], ["rogosinski"], []])
+    def test_no_argv_reads_sys_argv(self, monkeypatch, argv):
+        monkeypatch.setattr(sys, "argv", ["abeta", *argv])
+        assert run_caught(main, None) == run_caught(cli_main_full_parse, None)
+        assert run_caught(main, None) == run_caught(main, argv)
+
+    def test_a_known_subcommand_skips_the_top_level_parse(self, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        run_quiet(VALID[0])  # builds the parser
+        top = cli._parser[1]
+        reached = []
+        parse = top.parse_known_args
+        monkeypatch.setattr(top, "parse_known_args", lambda *a: reached.append(a[0]) or parse(*a))
+        for argv in FAILING + VALID:
+            run_quiet(argv)
+        assert reached == [["nope"], []]

@@ -2,7 +2,8 @@
 
 A raising command is hashed as its exception's type and message, so its
 set's digest can still be compared with another checkout's; the run then
-names it on stderr and exits 1.
+names it on stderr and exits 1.  The benchmark's query and sweep sets keep
+their recorded digests.
 """
 
 import hashlib
@@ -57,3 +58,16 @@ def test_main_exits_1_after_printing_every_digest(tool, monkeypatch, capsys):
     ]
     assert err == "raised: loud: ['boom']\n"
 
+
+# Sets whose bytes need the standard library alone, so they hold on every
+# supported Python.  bad-input is left out: argparse words some of its
+# errors differently on 3.11 than on 3.10 and 3.12.
+PINNED = {
+    "query_mix(3)": "2b2a85b5d266f637137ac26c616c625e42bb91eb9bee59048bf54869475fa3b5",
+    "sweep_grid(3)": "73b2c3a37cf535313a45c2cd18d11fb21685d0aa17ed8f1922d33f2a8bb150a2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_the_benchmark_query_sets_keep_their_digests(tool, name):
+    assert tool.digest(cli.main, tool.command_sets(ROOT)[name]) == (PINNED[name], [])

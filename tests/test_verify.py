@@ -209,6 +209,17 @@ class TestBlockSampler:
         full = _caratheodory_rows(weights, angles, DEFAULT_ORDER)
         assert _bits(_caratheodory_rows(weights, angles, k)) == _bits(full[:, : k + 1])
 
+    @pytest.mark.parametrize("atoms", [1, 2, 4, 8])
+    def test_every_order_from_zero_is_a_prefix_bit_for_bit(self, atoms):
+        # Orders 0 and 1 included: a one-column product takes numpy's
+        # other route, so those orders must come from a wider one.
+        for seed, rows in enumerate([1, 2, 5, 33, 70]):
+            weights, angles = _sample_rows(np.random.default_rng([seed, atoms]), rows, atoms)
+            full = _caratheodory_rows(weights, angles, DEFAULT_ORDER)
+            for k in range(DEFAULT_ORDER + 1):
+                part = _caratheodory_rows(weights, angles, k)
+                assert _bits(part) == _bits(full[:, : k + 1]), (rows, k)
+
     @pytest.mark.parametrize("block", [1, 7, 64, 1024, 5000])
     def test_block_size_does_not_change_the_summary(self, monkeypatch, block):
         cases = [

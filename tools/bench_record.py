@@ -28,11 +28,14 @@ metrics and, per metric, the median, the quartiles and the run count; with
 Each side also records ``bench/run.py``'s ``meta`` line (with ``src_lines``),
 its ``commit`` set to what was measured: REV's hash for the parent, this
 checkout's HEAD for the change, with ``dirty`` true when ``src/`` or
-``bench/`` differ from that commit.  The script then prints the verdicts
-and the change in every median against the newest earlier ``BENCH_*.json``
-beside ``--out``, unless the two files differ in seconds, seeds or host
-(``HOST_KEYS`` of the meta line), whose medians cannot be compared.  It
-needs only the standard library and what the benchmark itself needs.
+``bench/`` differ from that commit.  The printed report lists
+``query-mix``'s reference-scaled ``items_per_s`` and ``cmd_p50_ms`` first
+and tags its ``wall_s`` and ``cpu_s`` as raw.  The script then prints the
+verdicts and the change in every median against the newest earlier
+``BENCH_*.json`` beside ``--out``, unless the two files differ in seconds,
+seeds or host (``HOST_KEYS`` of the meta line), whose medians cannot be
+compared.  It needs only the standard library and what the benchmark
+itself needs.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GAIN_SHARE = 0.9
 HOST_KEYS = ("nproc", "cpu_model", "python", "numpy")
+# query-mix's rate and per-command latencies are scaled to a reference host
+# speed by bench/run.py and lead its report; its wall_s and cpu_s are raw
+# process times, which swing by about 8% with nothing changed on their path.
+LEADING = {"query-mix": ("items_per_s", "cmd_p50_ms")}
+RAW = {"query-mix": ("wall_s", "cpu_s")}
 
 
 def parse_run(stdout: str) -> dict:
@@ -227,7 +235,8 @@ def side_record(runs: list[dict], commit: str, dirty: bool) -> dict:
 
 
 def report(workload: str, record: dict) -> None:
-    """Print each metric's median [q1, q3], with --against as parent -> change."""
+    """Print each metric's median [q1, q3], with --against as parent -> change;
+    the workload's LEADING metrics first, its RAW ones tagged."""
     def stats(stat: dict) -> str:
         return f"{stat['median']:.6g} [{stat['q1']:.6g}, {stat['q3']:.6g}]"
 
@@ -235,13 +244,16 @@ def report(workload: str, record: dict) -> None:
     parent = record.get("parent")
     print(f"{workload}: {len(change['runs'])} runs, failed {change['failed']}"
           + (f" (parent: {parent['failed']})" if parent else ""))
-    for name, stat in change["summary"].items():
+    summary = change["summary"]
+    leading = [name for name in LEADING.get(workload, ()) if name in summary]
+    for name in leading + [name for name in summary if name not in leading]:
+        label = f"{name} (raw)" if name in RAW.get(workload, ()) else name
         if not parent:
-            print(f"  {name:<12} {stats(stat)}")
+            print(f"  {label:<12} {stats(summary[name])}")
             continue
         verdict = record["compare"][name]
         delta = "" if verdict["delta"] is None else f"{verdict['delta']:+.1%}"
-        print(f"  {name:<12} {stats(parent['summary'][name])} -> {stats(stat)}  {delta}"
+        print(f"  {label:<12} {stats(parent['summary'][name])} -> {stats(summary[name])}  {delta}"
               f"  better {verdict['better']}/{verdict['pairs']}  {verdict['verdict']}")
 
 
