@@ -51,11 +51,69 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     commands: dict[str, _Parser]  # the top-level parser's, by subcommand name
+    _table: tuple | bool | None = None  # see _plain_table; built on first parse
 
     # argparse exits with status 2 by default; the contract is 1 for any
     # validation problem, including unknown flags.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CliError(message)
+
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        """argparse's parse_args, read from the table when each token is
+        `--flag=value` or `--flag value` (value not starting with '-') of an
+        exact flag, each value converts and is a valid choice, and every
+        required flag is given; any other argv takes argparse's parse."""
+        if self._table is None:
+            self._table = self._plain_table()
+        if self._table and args is not None and namespace is None:
+            flags, required, defaults = self._table
+            values, seen, tokens = {}, set(), iter(args)
+            for token in tokens:
+                if not isinstance(token, str):
+                    break
+                flag, eq, value = token.partition("=")
+                action, convert = flags.get(flag, (None, None))
+                if action is None:
+                    break
+                if not eq:
+                    value = next(tokens, "-")  # none left: argparse words it
+                    if not isinstance(value, str) or value.startswith("-"):
+                        break
+                if value == "--":  # argparse before 3.13 reads `--flag=--` as []
+                    break
+                try:
+                    value = convert(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    break
+                if action.choices is not None and value not in action.choices:
+                    break
+                values[action.dest] = value
+                seen.add(action)
+            else:
+                if required <= seen:
+                    return argparse.Namespace(**{**defaults, **values})
+        return super().parse_args(args, namespace)
+
+    def _plain_table(self):
+        """(option string -> (action, type converter), required actions, the
+        defaults argparse sets) from this parser's own actions, or False if
+        it has any but help and single-value stores."""
+        actions = [a for a in self._actions if type(a) is not argparse._HelpAction]
+        if self._mutually_exclusive_groups or not all(
+            type(a) is argparse._StoreAction and a.nargs is None
+            and not (isinstance(a.default, str) and a.type)  # argparse converts it
+            for a in actions
+        ):
+            return False
+        defaults: dict = {}
+        for a in actions:
+            if a.default is not argparse.SUPPRESS:
+                defaults.setdefault(a.dest, a.default)
+        for dest, value in self._defaults.items():
+            defaults.setdefault(dest, value)
+        flags = {s: (a, self._registry_get("type", a.type, a.type))
+                 for a in actions for s in a.option_strings}
+        return flags, {a for a in actions if a.required}, defaults
 
 
 def fmt(x: float) -> str:
@@ -382,7 +440,10 @@ _parser: tuple[Callable[[], _Parser], _Parser] | None = None
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command (argv defaults to sys.argv[1:]); the parser is built
     on the first call only.  A known subcommand's flags are parsed once, by
-    its own parser; any other argv takes the full parse and its messages."""
+    its own parser; any other argv takes the full parse and its messages.
+    Every parser but verify's and the top level's reads a plain argv from a
+    table of its own flags (_Parser.parse_args); argparse still parses the
+    rest, so it words every error and help."""
     global _parser
     if _parser is None or _parser[0] is not build_parser:
         _parser = (build_parser, build_parser())

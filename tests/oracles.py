@@ -8,6 +8,7 @@ none of them is needed by the library itself.
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
 from dataclasses import dataclass
@@ -312,7 +313,9 @@ def generator_real_part(member: ClassMember, z: complex) -> float:
 
 def cli_main_full_parse(argv=None) -> int:
     """cli.main as it ran before known subcommands skipped the top-level
-    parser: a fresh parser tree parses every argv from the top."""
+    parser: a fresh parser tree parses every argv from the top.  argparse
+    reaches a subparser through its parse_known_args, so no flag table of
+    cli._Parser.parse_args is read."""
     parser = cli.build_parser()
     try:
         args = parser.parse_args(argv)
@@ -320,3 +323,9 @@ def cli_main_full_parse(argv=None) -> int:
     except (cli.CliError, ValueError, BracketError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def argparse_namespace(subparser, argv) -> argparse.Namespace:
+    """The namespace argparse itself parses from argv, past the flag table
+    that cli._Parser.parse_args reads a plain argv from."""
+    return argparse.ArgumentParser.parse_args(subparser, argv)

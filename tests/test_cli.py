@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -9,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import abeta
@@ -17,7 +19,7 @@ from abeta import cli
 from abeta.cli import CliError, main, parse_grid
 from abeta.extremal import BetaParam
 from abeta.radii import RadiusProblem, Variant, solve_radius
-from oracles import cli_main_full_parse
+from oracles import argparse_namespace, cli_main_full_parse
 
 FS_B0_ROOT = 0.28519408762  # independent bisection value, beta=0, m=1
 
@@ -1010,21 +1012,38 @@ FUZZ_FLAGS = {
 }
 
 
+# Values on the edge of what argparse reads as a value in `--flag value`:
+# "-0.5" looks like a negative number, " -1" holds a space, "-" is one
+# character.  Not for --out-path, where they would name a file to write.
+EDGE_VALUES = ["-0.5", " -1", "", "-"]
+# Abbreviations argparse expands where they are unique (--bet is not, in verify).
+ABBREVIATIONS = {"--beta": "--bet", "--poly": "--po"}
+
+
 @st.composite
 def fuzz_argv(draw):
     """A command line, malformed in about half of the draws: a subcommand
     (rarely missing), the flags it needs (each rarely missing) and up to
-    three more, with values from FUZZ_VALUES (one in ten malformed), and
-    sometimes an unknown flag or a trailing flag without a value."""
+    three more, one rarely repeated, with values from FUZZ_VALUES (one in
+    ten malformed, one in ten from EDGE_VALUES), each flag rarely
+    abbreviated and written `--flag value` or `--flag=value`, and sometimes
+    an unknown flag or a trailing flag without a value."""
     rarely = st.integers(0, 9).map(lambda k: k == 0)
     command = draw(st.sampled_from(list(FUZZ_FLAGS)))
     required, optional = FUZZ_FLAGS[command]
     argv = [] if draw(rarely) else [command]
     flags = [f for f in required if not draw(rarely)]
     flags += draw(st.lists(st.sampled_from(optional), max_size=3))
+    if flags and draw(rarely):
+        flags.append(draw(st.sampled_from(flags)))
     for flag in flags:
         valid, malformed = FUZZ_VALUES[flag]
-        argv += [flag, draw(st.sampled_from(malformed if draw(rarely) else valid))]
+        value = draw(st.sampled_from(malformed if draw(rarely) else valid))
+        if flag != "--out-path" and draw(rarely):
+            value = draw(st.sampled_from(EDGE_VALUES))
+        if draw(rarely):
+            flag = ABBREVIATIONS.get(flag, flag)
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(rarely):
         argv += ["--bogus", "1"]
     if draw(rarely):
@@ -1100,3 +1119,122 @@ class TestDispatch:
         for argv in FAILING + VALID:
             run_quiet(argv)
         assert reached == [["nope"], []]
+
+
+@contextlib.contextmanager
+def table_only():
+    """Parsers read only their flag tables: argparse's own parse_args
+    returns None, so a parse that falls through to it gives None."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_args", lambda *args: None)
+        yield
+
+
+def load_bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded without writing bytecode into bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+class TestFlagTable:
+    """A subparser reads a plain argv from a table of its own actions;
+    wherever the table takes an argv, it sets what argparse would, and
+    everything else is argparse's."""
+
+    @pytest.mark.parametrize("argv, taken", [
+        (["--beta", "0.5", "--m=2", "--out-format", "csv"], True),
+        (["--beta=-0.5"], True),
+        (["--beta", "0.1", "--beta", "0.2"], True),
+        (["--beta", " -1", "--poly="], True),
+        (("--beta", "0.5"), True),
+        (["--beta", "-0.5"], False),
+        (["--bet", "0.5"], False),
+        (["--beta", "0.5", "--poly=--"], False),
+        (["--beta", "0.5", "--"], False),
+        (["--beta", "0.5", "-h"], False),
+        (["--beta", "x"], False),
+        (["--beta", "0.5", "--out-format", "xml"], False),
+        (["--m", "2"], False),
+        (["--beta"], False),
+        (["--beta", 0.5], False),
+        (["--beta", "0.5", 1], False),
+        (["--beta", "0.5", "--bogus", "1"], False),
+    ])
+    def test_which_argvs_the_table_takes(self, argv, taken):
+        radius = cli.build_parser().commands["radius"]
+        with table_only():
+            namespace = radius.parse_args(argv)
+            assert radius.parse_args(argv, argparse.Namespace()) is None
+        assert (namespace is not None) == taken
+        if taken:
+            assert repr(vars(namespace)) == repr(vars(argparse_namespace(radius, argv)))
+
+    @pytest.mark.parametrize("add, argv", [
+        (lambda p: p.add_argument("--x", type=float, default="0.5"), []),  # converted
+        (lambda p: p.add_argument("--x", action="append"), ["--x", "1"]),
+        (lambda p: p.add_argument("--x", nargs="+"), ["--x", "1"]),
+        (lambda p: p.add_mutually_exclusive_group().add_argument("--x"), []),
+    ])
+    def test_a_parser_with_other_actions_has_no_table(self, add, argv):
+        parser = cli._Parser()
+        add(parser)
+        with table_only():
+            assert parser.parse_args(argv) is None
+
+    @given(fuzz_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_a_taken_argv_parses_as_argparse_parses_it(self, argv):
+        commands = cli.build_parser().commands
+        assume(argv and argv[0] in commands)
+        parser = commands[argv[0]]
+        with table_only():
+            namespace = parser.parse_args(argv[1:])
+        if namespace is not None:  # repr: NaN != NaN
+            assert repr(vars(namespace)) == repr(vars(argparse_namespace(parser, argv[1:])))
+
+    def test_the_full_parse_oracle_reads_no_table(self, monkeypatch):
+        tables = []
+        plain_table = cli._Parser._plain_table
+
+        def recorded(parser):
+            tables.append(plain_table(parser))
+            return tables[-1]
+
+        monkeypatch.setattr(cli._Parser, "_plain_table", recorded)
+        for argv in VALID + FAILING:
+            run_caught(cli_main_full_parse, argv)
+        # Only each fresh top-level parser asks, and it has no table.
+        assert tables == [False] * len(VALID + FAILING)
+
+    def test_the_benchmark_commands_take_the_table(self, monkeypatch):
+        workloads = load_bench_workloads(monkeypatch)
+        commands = cli.build_parser().commands
+        for argvs in [*map(workloads.query_mix, (1, 3, 7)), [workloads.sweep_grid(3)]]:
+            with table_only():
+                namespaces = [commands[argv[0]].parse_args(argv[1:]) for argv in argvs]
+            assert None not in namespaces
+            assert [repr(vars(ns)) for ns in namespaces] == [
+                repr(vars(argparse_namespace(commands[argv[0]], argv[1:]))) for argv in argvs
+            ]
+        verify = workloads.falsify(3)
+        with table_only():
+            assert commands[verify[0]].parse_args(verify[1:]) is None
+
+    def test_only_verify_reaches_the_subparser_argparse(self, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        run_quiet(VALID[0])  # builds the parser
+        commands = cli._parser[1].commands
+        reached = []
+        for name in ("radius", "verify"):
+            parse = commands[name].parse_known_args
+            monkeypatch.setattr(
+                commands[name], "parse_known_args",
+                lambda *a, name=name, parse=parse: reached.append(name) or parse(*a),
+            )
+        assert run_quiet(["radius", "--beta", "0.3"])[0] == 0
+        assert run_quiet(["verify", "--beta", "0.3", "--samples", "2"])[0] == 0
+        assert reached == ["verify"]
