@@ -1174,7 +1174,7 @@ class TestFlagTable:
             assert repr(vars(namespace)) == repr(vars(argparse_namespace(radius, argv)))
 
     @pytest.mark.parametrize("add, argv", [
-        (lambda p: p.add_argument("--x", type=float, default="0.5"), []),  # converted
+        (lambda p: p.add_argument("--x", type=float, default="0.5"), []),  # argparse converts it
         (lambda p: p.add_argument("--x", action="append"), ["--x", "1"]),
         (lambda p: p.add_argument("--x", nargs="+"), ["--x", "1"]),
         (lambda p: p.add_mutually_exclusive_group().add_argument("--x"), []),
