@@ -94,6 +94,18 @@ class _Parser(argparse.ArgumentParser):
                     return argparse.Namespace(**{**defaults, **values})
         return super().parse_args(args, namespace)
 
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        namespace, extras = super().parse_known_args(args, namespace)
+        for a in self._actions:  # argparse before 3.13 reads `--flag=--` as []
+            value = getattr(namespace, a.dest, None)
+            if value == [] and type(a) is argparse._StoreAction and a.nargs is None:
+                try:  # read '--' as 3.13 does, through the flag's type and choices
+                    self._check_value(a, value := self._get_value(a, "--"))
+                except argparse.ArgumentError as exc:
+                    self.error(str(exc))
+                setattr(namespace, a.dest, value)
+        return namespace, extras
+
     def _plain_table(self):
         """(option string -> (action, type converter), required actions, the
         defaults argparse sets) from this parser's own actions, or False if
@@ -208,15 +220,38 @@ def _cell(v: object) -> str:
     return str(v)
 
 
+def _flat_json(doc: object) -> str | None:
+    """`json.dumps(doc, indent=2)` from C-level primitives for a dict of str
+    keys to values each exactly a str, an int, a finite float or a list of
+    finite floats; None for any other document."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    if type(doc) is not dict:
+        return None
+    items = []
+    for key, value in doc.items():
+        kind = type(value) if type(key) is str else None  # None: json.dumps
+        if kind is str:
+            value = quote(value)
+        elif kind is int or (kind is float and math.isfinite(value)):
+            value = repr(value)
+        elif kind is list and all(type(x) is float and math.isfinite(x) for x in value):
+            value = "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]" if value else "[]"
+        else:
+            return None
+        items.append(f"  {quote(key)}: {value}")
+    return "{\n" + ",\n".join(items) + "\n}" if items else "{}"
+
+
 def _write(args: argparse.Namespace, doc: dict | None, rows: Sequence[dict] | None = None) -> None:
-    """Write `doc` as JSON, or `rows` (by default `doc` alone) as CSV, to
-    --out-path or stdout.  The CSV header is the first row's keys and every
-    cell goes through `_cell`.  Each format's module is imported here, so a
-    command loads only the one it writes."""
+    """Write `doc` as `json.dumps(doc, indent=2)` writes it, or `rows` (by
+    default `doc` alone) as CSV under the first row's keys with `_cell`'s
+    cells, to --out-path or stdout.  Each format's module is imported here,
+    so a command loads only the one it writes."""
     if args.out_format == "json":
         import json
 
-        text = json.dumps(doc, indent=2) + "\n"
+        text = (_flat_json(doc) or json.dumps(doc, indent=2)) + "\n"
     else:
         import csv
 
@@ -225,7 +260,12 @@ def _write(args: argparse.Namespace, doc: dict | None, rows: Sequence[dict] | No
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(rows[0].keys())
-        writer.writerows([_cell(v) for v in row.values()] for row in rows)
+        cells = [tuple(row.values()) for row in rows]
+        line = ",".join(["%.17g"] * len(cells[0])) + "\r\n"  # fmt's bytes, a row at a time
+        if all(len(row) == len(cells[0]) and all(type(v) is float for v in row) for row in cells):
+            buf.write("".join([line % row for row in cells]))
+        else:
+            writer.writerows([_cell(v) for v in row] for row in cells)
         text = buf.getvalue()
     if not args.out_path:
         sys.stdout.write(text)

@@ -9,6 +9,9 @@ none of them is needed by the library itself.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -329,3 +332,22 @@ def argparse_namespace(subparser, argv) -> argparse.Namespace:
     """The namespace argparse itself parses from argv, past the flag table
     that cli._Parser.parse_args reads a plain argv from."""
     return argparse.ArgumentParser.parse_args(subparser, argv)
+
+
+# -- The command line's writers, by the standard library's encoders alone --
+
+
+def json_document(doc) -> str:
+    """The JSON cli._write prints for doc, by the pure-Python encoder that
+    indent=2 selects."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def csv_rows(rows) -> str:
+    """The CSV cli._write prints for rows: a header of the first row's keys,
+    then every row through csv.writer, one cli._cell per value."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows([cli._cell(v) for v in row.values()] for row in rows)
+    return buf.getvalue()

@@ -19,7 +19,7 @@ from abeta import cli
 from abeta.cli import CliError, main, parse_grid
 from abeta.extremal import BetaParam
 from abeta.radii import RadiusProblem, Variant, solve_radius
-from oracles import argparse_namespace, cli_main_full_parse
+from oracles import argparse_namespace, cli_main_full_parse, csv_rows, json_document
 
 FS_B0_ROOT = 0.28519408762  # independent bisection value, beta=0, m=1
 
@@ -1238,3 +1238,186 @@ class TestFlagTable:
         assert run_quiet(["radius", "--beta", "0.3"])[0] == 0
         assert run_quiet(["verify", "--beta", "0.3", "--samples", "2"])[0] == 0
         assert reached == ["verify"]
+
+
+# `--flag=--` of a single-value flag: argparse before 3.13 reads the value
+# as [], and _Parser reads it again as 3.13 does, as the string "--".  Each
+# gives 3.13's one line on every version (the choices of --out-format are
+# worded by argparse, differently on some versions).
+DASH_DASH_VALUES = {
+    ("radius", "--beta=--"): "error: argument --beta: invalid float value: '--'\n",
+    ("fs-bound", "--beta", "0.5", "--mu=--"):
+        "error: --mu: malformed grid '--' (could not convert string to float: '--')\n",
+    ("sweep", "--beta-grid=--"):
+        "error: --beta-grid: malformed grid '--' (could not convert string to float: '--')\n",
+    ("verify", "--beta", "0.5", "--seed=--"): "error: argument --seed: invalid int value: '--'\n",
+    ("radius", "--beta", "0.5", "--poly=--"): "error: --poly: could not convert string to float: '--'\n",
+    ("radius", "--beta", "0.5", "--out-format=--"):
+        "error: argument --out-format: invalid choice: '--' (choose from ",
+}
+
+
+class TestDashDashValue:
+    @pytest.mark.parametrize("argv", list(DASH_DASH_VALUES), ids=" ".join)
+    def test_one_error_line_in_a_fresh_interpreter(self, argv):
+        proc = run_process(*argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(DASH_DASH_VALUES[argv]) and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", list(DASH_DASH_VALUES), ids=" ".join)
+    def test_same_as_the_full_parse(self, argv):
+        result = run_caught(main, list(argv))
+        assert result[0] == 1 and result == run_caught(cli_main_full_parse, list(argv))
+
+    def test_a_flag_of_many_values_keeps_its_empty_list(self):
+        parser = cli._Parser()
+        parser.add_argument("--x", nargs="*")
+        assert parser.parse_args(["--x"]).x == []
+
+    def test_no_single_value_flag_defaults_to_a_list(self):
+        # An unset flag with a [] default would read as `--flag=--`.
+        parsers = cli.build_parser().commands.values()
+        assert not [a.dest for p in parsers for a in p._actions if a.default == []]
+
+
+def written(doc, rows=None, out_format="json"):
+    """cli._write's stdout for doc as JSON, or rows as CSV."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write(argparse.Namespace(out_format=out_format, out_path=None), doc, rows)
+    return out.getvalue()
+
+
+def is_flat(doc):
+    """Whether cli._write writes doc without json.dumps: str keys, and each
+    value exactly a str, an int, a finite float or a list of finite floats."""
+    def finite(x):
+        return type(x) is float and math.isfinite(x)
+
+    return all(
+        type(key) is str and (
+            type(value) in (str, int) or finite(value)
+            or type(value) is list and all(map(finite, value))
+        )
+        for key, value in doc.items()
+    )
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+any_float = st.floats() | st.sampled_from(EDGE_FLOATS)
+finite_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308]
+)
+# Non-ASCII, quotes, backslashes, control characters and a lone surrogate.
+any_text = st.text() | st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\xe9\u2028\ud800\U0001f600'))
+any_int = st.integers() | st.integers(-(10**400), 10**400)
+flat_value = st.one_of(any_text, any_int, finite_float, st.lists(finite_float, max_size=4))
+other_value = st.one_of(
+    st.booleans(),
+    st.none(),
+    any_float.filter(lambda x: not math.isfinite(x)),
+    st.lists(any_float, min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=3), any_float, max_size=2),
+    st.lists(st.dictionaries(st.text(max_size=3), any_float, max_size=2), max_size=2),
+)
+any_key = st.text(max_size=8) | st.integers(-2, 2)
+
+
+class TestWriters:
+    """cli._write lays out a flat document and rows of floats from C-level
+    primitives; every output equals the standard library's encoders'."""
+
+    @given(st.dictionaries(st.text(max_size=8), flat_value, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_a_flat_document_is_json_dumps_indented(self, doc):
+        assert cli._flat_json(doc) is not None
+        assert written(doc) == json_document(doc)
+
+    @given(st.dictionaries(any_key, flat_value | other_value, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_document_is_json_dumps_indented(self, doc):
+        assert (cli._flat_json(doc) is not None) == is_flat(doc)
+        assert written(doc) == json_document(doc)
+
+    @pytest.mark.parametrize("columns", [1, 6])
+    def test_edge_float_rows(self, columns):
+        values = EDGE_FLOATS + [-x for x in EDGE_FLOATS] + [0.1, 1e22, 1e-7, 2.0**-1074 * 3]
+        rows = [{f"c{i}": v for i in range(columns)} for v in values]
+        assert written(None, rows, "csv") == csv_rows(rows)
+
+    def test_a_float_subclass_cell_goes_through_cell(self):
+        class Tagged(float):
+            def __format__(self, spec):
+                return "tagged"
+
+        rows = [{"a": 0.5, "b": Tagged(0.5)}]
+        assert written(None, rows, "csv") == csv_rows(rows) == "a,b\r\n0.5,tagged\r\n"
+
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(any_float, min_size=n, max_size=n), min_size=1, max_size=5)
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_float_rows_are_the_csv_writers(self, table):
+        rows = [{f"c{i}": v for i, v in enumerate(row)} for row in table]
+        assert written(None, rows, "csv") == csv_rows(rows)
+
+    @given(st.lists(
+        st.lists(st.one_of(any_float, any_int, any_text, st.booleans(), st.lists(any_float)),
+                 min_size=1, max_size=4),
+        min_size=1, max_size=4,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_any_rows_are_the_csv_writers(self, table):
+        rows = [{f"c{i}": v for i, v in enumerate(row)} for row in table]
+        assert written(None, rows, "csv") == csv_rows(rows)
+
+
+@contextlib.contextmanager
+def encoder_calls():
+    """A list that records each json.dumps call and each csv writer's
+    writerows call while the block runs."""
+    calls = []
+    dumps, writer = json.dumps, csv.writer
+
+    class Writer:
+        def __init__(self, *args, **kwargs):
+            self.writer = writer(*args, **kwargs)
+
+        def writerow(self, row):
+            return self.writer.writerow(row)
+
+        def writerows(self, rows):
+            calls.append("writerows")
+            return self.writer.writerows(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "dumps", lambda *a, **k: calls.append("json.dumps") or dumps(*a, **k))
+        patch.setattr(csv, "writer", Writer)
+        yield calls
+
+
+class TestWriterPaths:
+    """Which documents skip the pure-Python encoders, so that a silent
+    fallback fails here rather than reading as a slower benchmark."""
+
+    def test_the_query_commands_skip_them(self, monkeypatch):
+        argvs = load_bench_workloads(monkeypatch).query_mix(1) + [
+            ["log-bounds", "--beta", beta, "--out-format", out_format]
+            for beta in ("0", "0.5", "0.999") for out_format in ("csv", "json")
+        ] + [["fs-bound", "--beta", "0.5", "--mu=-3:1:0.25", "--out-format", "csv"]]
+        with encoder_calls() as calls:
+            codes = [run_quiet(argv)[0] for argv in argvs]
+        assert codes == [0] * len(argvs) and calls == []
+
+    def test_the_other_documents_keep_them(self):
+        argvs = [
+            ["fs-bound", "--beta", "0.5", "--mu=-1,1", "--out-format", "json"],
+            ["radius", "--beta", "0.3", "--out-format", "csv"],
+            ["sweep", "--beta-grid", "0.1,0.2"],
+            ["verify", "--beta", "0.3", "--samples", "2"],
+            ["verify", "--beta", "0.3", "--samples", "2", "--out-format", "csv"],
+        ]
+        with encoder_calls() as calls:
+            codes = [run_quiet(argv)[0] for argv in argvs]
+        assert codes == [0] * len(argvs)
+        assert calls == ["json.dumps", "writerows", "writerows", "json.dumps", "writerows"]
