@@ -230,7 +230,7 @@ def _flat_json(doc: object) -> str | None:
         return None
     items = []
     for key, value in doc.items():
-        kind = type(value) if type(key) is str else None  # None: json.dumps
+        kind = type(value) if type(key) is str else None  # any other key falls back
         if kind is str:
             value = quote(value)
         elif kind is int or (kind is float and math.isfinite(value)):

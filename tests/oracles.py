@@ -330,7 +330,8 @@ def cli_main_full_parse(argv=None) -> int:
 
 def argparse_namespace(subparser, argv) -> argparse.Namespace:
     """The namespace argparse itself parses from argv, past the flag table
-    that cli._Parser.parse_args reads a plain argv from."""
+    that cli._Parser.parse_args reads a plain argv from (the `--flag=--`
+    reading of cli._Parser.parse_known_args still applies)."""
     return argparse.ArgumentParser.parse_args(subparser, argv)
 
 
