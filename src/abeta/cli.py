@@ -226,8 +226,6 @@ def _flat_json(doc: object) -> str | None:
     finite floats; None for any other document."""
     from json.encoder import encode_basestring_ascii as quote
 
-    if type(doc) is not dict:
-        return None
     items = []
     for key, value in doc.items():
         kind = type(value) if type(key) is str else None  # any other key falls back
