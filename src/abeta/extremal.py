@@ -122,27 +122,30 @@ def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     small next to f(r) ~ r as well: the radius equations raise f(r^m) to
     powers p < 1, which would magnify a merely absolute error at tiny r^m.
     """
-    if not abs(r) < 1.0:
-        raise ValueError(f"|r| must be < 1, got {r}")
-    b = beta_value(beta)
     q = abs(r)
+    if not q < 1.0:
+        raise ValueError(f"|r| must be < 1, got {r}")
+    b = beta.value if beta.__class__ is BetaParam else beta_value(beta)
     if q == 0.0:
         return 0.0
-    s = 1.0 - b
+    s, w = 1.0 - b, 1.0 - q
     # a_{n+1} q^n = 2 q^n / (s (n+1) + b) meets TOLERANCE (1 - q) near
     # n log(1/q) + log(s n + b) = a; one fixed-point step from n = a / log(1/q)
     # lands a term or two from the least n >= 1 whose tail bound a_{n+1} q^n /
-    # (1 - q) is <= TOLERANCE, and n steps there (the second loop tests the
-    # bound at n - 1).  The summing loop then tests nothing per term.
+    # (1 - q) is <= TOLERANCE (the step is >= 1, as 2 / TOLERANCE > a), and n
+    # walks one way from one test there.  The sum then tests nothing per term.
     log_inv_q = -math.log(q)
-    a = math.log(2.0 / (TOLERANCE * (1.0 - q)))
-    n = max(math.ceil((a - math.log(s * a / log_inv_q + b)) / log_inv_q), 1)
-    while n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q) > TOLERANCE:
+    a = math.log(2.0 / (TOLERANCE * w))
+    n = math.ceil((a - math.log(s * a / log_inv_q + b)) / log_inv_q)
+    if n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / w <= TOLERANCE:
+        while n > 1 and 2.0 / (s * n + b) * q ** (n - 1) / w <= TOLERANCE:
+            n -= 1
+    else:
         n += 1
-    if n > MAX_TERMS:
-        raise _too_long("extremal series", r)
-    while n > 1 and 2.0 / (s * n + b) * q ** (n - 1) / (1.0 - q) <= TOLERANCE:
-        n -= 1
+        while n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / w > TOLERANCE:
+            n += 1
+        if n > MAX_TERMS:
+            raise _too_long("extremal series", r)
     # term n is 2 r^n / d with d = s n + b, stepped from d = 1 at n = 1.
     total, power, d = 0.0, r, 1.0
     for _ in range(n - 1):
@@ -207,26 +210,32 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    b = beta_value(beta)
+    b = beta.value if beta.__class__ is BetaParam else beta_value(beta)
     x = r * r
     if x == 0.0:
         return 0.0
     s = 1.0 - b
 
-    # t_k = 4 k x^k / (s k + b)^2 meets TOLERANCE (1 - x) where
-    # k log(1/x) = a + log(k / (s k + b)^2); one fixed-point step from
-    # k = a / log(1/x).  From there, the least n >= 1 whose tail bound is
-    # <= TOLERANCE, as in eval_extremal.
+    # t_k = 4 k x^k / (s k + b)^2 meets TOLERANCE (1 - x) where k log(1/x) =
+    # a + log(k / (s k + b)^2); one fixed-point step from k = a / log(1/x), above
+    # -1, then as in eval_extremal.  The tail bound beyond n is t_{n+1} / (1 - q),
+    # +inf for q = x (n+1)/n >= 1 (ratio test: t_{k+1}/t_k < q for every k > n).
     log_inv_x = -math.log(x)
     a = math.log(4.0 / (TOLERANCE * (1.0 - x)))
     k = a / log_inv_x
-    n = max(math.ceil((a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0), 1)
-    while n <= MAX_TERMS and _area_tail(n, s, b, x) > TOLERANCE:
+    n = math.ceil((a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0) or 1
+    if n <= MAX_TERMS and (q := x * (n + 1) / n) < 1.0 and (
+            4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q) <= TOLERANCE):
+        while n > 1 and (q := x * n / (n - 1)) < 1.0 and (
+                4.0 * n / (s * n + b) ** 2 * x**n / (1.0 - q) <= TOLERANCE):
+            n -= 1
+    else:
         n += 1
-    if n > MAX_TERMS:
-        raise _too_long("area series", r)
-    while n > 1 and _area_tail(n - 1, s, b, x) <= TOLERANCE:
-        n -= 1
+        while n <= MAX_TERMS and ((q := x * (n + 1) / n) >= 1.0 or (
+                4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q) > TOLERANCE)):
+            n += 1
+        if n > MAX_TERMS:
+            raise _too_long("area series", r)
     # term j is 4 j x^j / d^2 with d = s j + b, stepped from d = 1 at j = 1.
     total, power, j, d = 0.0, x, 1.0, 1.0
     for _ in range(n - 1):
@@ -235,15 +244,6 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
         d += s
         total += j * power / (d * d)
     return x + 4.0 * total
-
-
-def _area_tail(n: int, s: float, b: float, x: float) -> float:
-    """Bound on the area series beyond its n-th term (x = r^2, s = 1 - beta)."""
-    # Ratio test: t_{k+1}/t_k <= x * (n+2)/(n+1) < q for every k > n.
-    q = x * (n + 1) / n
-    if q >= 1.0:
-        return math.inf
-    return 4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q)
 
 
 def growth_envelope(r: float, beta: "BetaParam | float") -> tuple[float, float]:

@@ -138,12 +138,24 @@ class RadiusProblem(Frozen):
     def equation(self, r: float) -> float:
         """The majorant of the extremal member minus the level: lead(r) +
         f(r) - hat_f(start, r) + F(area bound at r) - level, where f(r) -
-        hat_f(start, r) is the extremal sum from n = start."""
+        hat_f(start, r) is the extremal sum from n = start.  f(r) is also an
+        m = 1 Rogosinski lead's base, and hat_f is called only from start 3."""
+        if not 0.0 < r < 1.0:
+            raise ValueError(f"r must lie in (0, 1), got {r}")
         beta = self.beta
-        lead = self.lead(r)
+        f_r = eval_extremal(r, beta) if self.m == 1 and self.variant is not _BOHR else None
+        if self.variant is _BOHR:
+            lead = r ** (self.p * self.m)
+        else:
+            try:
+                lead = (eval_extremal(r ** self.m, beta) if f_r is None else f_r) ** self.p
+            except OverflowError:  # a float power beyond the largest double
+                lead = math.inf
         # F == 0 skips the area bound, whose F value is 0 anyway.
         area = 0.0 if self.F.is_zero else self.F(area_majorant(r, beta))
-        return lead + eval_extremal(r, beta) - hat_f(self.start, beta, r) + area - self.level
+        f_r = eval_extremal(r, beta) if f_r is None else f_r
+        head = hat_f(self.start, beta, r) if self.start > 2 else r if self.start == 2 else 0.0
+        return lead + f_r - head + area - self.level
 
 
 class RootResult(namedtuple("RootResult", "root bracket residual iterations")):
@@ -164,12 +176,12 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
         raise ValueError(f"N must be >= 1, got {N}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    b = beta_value(beta)
+    b = beta.value if beta.__class__ is BetaParam else beta_value(beta)
     if N <= 2:
         return 0.0 if N == 1 else r
-    total = r
+    s, total = 1.0 - b, r
     for n in range(2, N):
-        term = 2.0 / ((1.0 - b) * n + b) * r ** n  # extremal_coeff(n, b) * r ** n
+        term = 2.0 / (s * n + b) * r ** n  # extremal_coeff(n, b) * r ** n
         if total + term == total:
             break
         total += term

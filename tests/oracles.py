@@ -28,7 +28,7 @@ from abeta.extremal import (
     beta_value,
     extremal_coeff,
 )
-from abeta.radii import BracketError
+from abeta.radii import BracketError, RadiusProblem, Variant
 from abeta.verify import DEFAULT_ORDER, TWO_PI, ClassMember, HerglotzMeasure, _normalized_area_rows
 
 
@@ -227,6 +227,128 @@ def hat_f_by_ulp(N: int, beta: "BetaParam | float", r: float) -> float:
             break
         total += term
     return total
+
+
+# The radius equation and its evaluators as they stood before their
+# per-call work was trimmed, copied unchanged but for their names: every
+# float operation that reaches a result is the same, so the library must
+# give the same bits, and the same error for an invalid argument.
+
+
+def reference_too_long(series: str, r: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"{series} at r = {r}: tail bound above tolerance {TOLERANCE:.3e} "
+        f"within the cap of {MAX_TERMS} terms"
+    )
+
+
+def reference_eval_extremal(r: float, beta: "BetaParam | float") -> float:
+    """abeta.extremal.eval_extremal with its estimate clamped by max() and
+    its series sized by an upward then a downward walk."""
+    if not abs(r) < 1.0:
+        raise ValueError(f"|r| must be < 1, got {r}")
+    b = beta_value(beta)
+    q = abs(r)
+    if q == 0.0:
+        return 0.0
+    s = 1.0 - b
+    log_inv_q = -math.log(q)
+    a = math.log(2.0 / (TOLERANCE * (1.0 - q)))
+    n = max(math.ceil((a - math.log(s * a / log_inv_q + b)) / log_inv_q), 1)
+    while n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q) > TOLERANCE:
+        n += 1
+    if n > MAX_TERMS:
+        raise reference_too_long("extremal series", r)
+    while n > 1 and 2.0 / (s * n + b) * q ** (n - 1) / (1.0 - q) <= TOLERANCE:
+        n -= 1
+    # term n is 2 r^n / d with d = s n + b, stepped from d = 1 at n = 1.
+    total, power, d = 0.0, r, 1.0
+    for _ in range(n - 1):
+        power *= r
+        d += s
+        total += power / d
+    return r + 2.0 * total
+
+
+def reference_area_majorant(r: float, beta: "BetaParam | float") -> float:
+    """abeta.extremal.area_majorant with a call per tail bound."""
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"r must lie in [0, 1), got {r}")
+    b = beta_value(beta)
+    x = r * r
+    if x == 0.0:
+        return 0.0
+    s = 1.0 - b
+    log_inv_x = -math.log(x)
+    a = math.log(4.0 / (TOLERANCE * (1.0 - x)))
+    k = a / log_inv_x
+    n = max(math.ceil((a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0), 1)
+    while n <= MAX_TERMS and reference_area_tail(n, s, b, x) > TOLERANCE:
+        n += 1
+    if n > MAX_TERMS:
+        raise reference_too_long("area series", r)
+    while n > 1 and reference_area_tail(n - 1, s, b, x) <= TOLERANCE:
+        n -= 1
+    # term j is 4 j x^j / d^2 with d = s j + b, stepped from d = 1 at j = 1.
+    total, power, j, d = 0.0, x, 1.0, 1.0
+    for _ in range(n - 1):
+        power *= x
+        j += 1.0
+        d += s
+        total += j * power / (d * d)
+    return x + 4.0 * total
+
+
+def reference_area_tail(n: int, s: float, b: float, x: float) -> float:
+    """Bound on the area series beyond its n-th term (x = r^2, s = 1 - beta)."""
+    # Ratio test: t_{k+1}/t_k <= x * (n+2)/(n+1) < q for every k > n.
+    q = x * (n + 1) / n
+    if q >= 1.0:
+        return math.inf
+    return 4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q)
+
+
+def reference_hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
+    """abeta.radii.hat_f with 1 - beta formed once per term."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"r must lie in [0, 1), got {r}")
+    b = beta_value(beta)
+    if N <= 2:
+        return 0.0 if N == 1 else r
+    total = r
+    for n in range(2, N):
+        term = 2.0 / ((1.0 - b) * n + b) * r ** n  # extremal_coeff(n, b) * r ** n
+        if total + term == total:
+            break
+        total += term
+    return total
+
+
+def reference_lead(self: RadiusProblem, r: float) -> float:
+    """RadiusProblem.lead over reference_eval_extremal."""
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"r must lie in (0, 1), got {r}")
+    if self.variant is Variant.BOHR_SCHWARZ:
+        return r ** (self.p * self.m)
+    try:
+        return reference_eval_extremal(r ** self.m, self.beta) ** self.p
+    except OverflowError:  # a float power beyond the largest double
+        return math.inf
+
+
+def reference_equation(self: RadiusProblem, r: float) -> float:
+    """RadiusProblem.equation with f(r) evaluated apart from the lead and
+    hat_f called at every start."""
+    beta = self.beta
+    lead = reference_lead(self, r)
+    # F == 0 skips the area bound, whose F value is 0 anyway.
+    area = 0.0 if self.F.is_zero else self.F(reference_area_majorant(r, beta))
+    return (
+        lead + reference_eval_extremal(r, beta) - reference_hat_f(self.start, beta, r)
+        + area - self.level
+    )
 
 
 def monotone_spot_check(F: Callable[[float], float], grid_points: int = 32) -> bool:
