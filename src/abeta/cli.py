@@ -79,8 +79,6 @@ class _Parser(argparse.ArgumentParser):
                     value = next(tokens, "-")  # none left: argparse words it
                     if not isinstance(value, str) or value.startswith("-"):
                         break
-                if value == "--":  # argparse before 3.13 reads `--flag=--` as []
-                    break
                 try:
                     value = convert(value)
                 except (TypeError, ValueError, argparse.ArgumentTypeError):
@@ -94,17 +92,13 @@ class _Parser(argparse.ArgumentParser):
                     return argparse.Namespace(**{**defaults, **values})
         return super().parse_args(args, namespace)
 
-    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
-        namespace, extras = super().parse_known_args(args, namespace)
-        for a in self._actions:  # argparse before 3.13 reads `--flag=--` as []
-            value = getattr(namespace, a.dest, None)
-            if value == [] and type(a) is argparse._StoreAction and a.nargs is None:
-                try:  # read '--' as 3.13 does, through the flag's type and choices
-                    self._check_value(a, value := self._get_value(a, "--"))
-                except argparse.ArgumentError as exc:
-                    self.error(str(exc))
-                setattr(namespace, a.dest, value)
-        return namespace, extras
+    def _get_values(self, action, arg_strings):
+        # `--flag=--` is the string '--', as argparse reads it from 3.13 on;
+        # earlier versions drop the '--' and read [].
+        if arg_strings == ["--"] and action.nargs is None:
+            self._check_value(action, value := self._get_value(action, "--"))
+            return value
+        return super()._get_values(action, arg_strings)
 
     def _plain_table(self):
         """(option string -> (action, type converter), required actions, the

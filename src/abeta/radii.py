@@ -128,10 +128,14 @@ class RadiusProblem(Frozen):
         """r^{pm} (Bohr) or f(r^m)^p (Rogosinski) at |z| = r; +inf past the largest double."""
         if not 0.0 < r < 1.0:
             raise ValueError(f"r must lie in (0, 1), got {r}")
+        return self._lead(r, None)
+
+    def _lead(self, r: float, f_rm: float | None) -> float:
+        """lead(r) for r in (0, 1), over f_rm = f(r^m) when it is given."""
         if self.variant is _BOHR:
             return r ** (self.p * self.m)
         try:
-            return eval_extremal(r ** self.m, self.beta) ** self.p
+            return (eval_extremal(r ** self.m, self.beta) if f_rm is None else f_rm) ** self.p
         except OverflowError:  # a float power beyond the largest double
             return math.inf
 
@@ -144,13 +148,7 @@ class RadiusProblem(Frozen):
             raise ValueError(f"r must lie in (0, 1), got {r}")
         beta = self.beta
         f_r = eval_extremal(r, beta) if self.m == 1 and self.variant is not _BOHR else None
-        if self.variant is _BOHR:
-            lead = r ** (self.p * self.m)
-        else:
-            try:
-                lead = (eval_extremal(r ** self.m, beta) if f_r is None else f_r) ** self.p
-            except OverflowError:  # a float power beyond the largest double
-                lead = math.inf
+        lead = self._lead(r, f_r)
         # F == 0 skips the area bound, whose F value is 0 anyway.
         area = 0.0 if self.F.is_zero else self.F(area_majorant(r, beta))
         f_r = eval_extremal(r, beta) if f_r is None else f_r

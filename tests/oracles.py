@@ -138,82 +138,6 @@ def boundary_series_euler(beta: "float | BetaParam", terms: int = 64) -> float:
     return -total
 
 
-# The evaluators as they sized their series before the sizing was inlined:
-# a closure per call for the tail bound and one generic search.  The
-# library must give the same bits.
-
-
-def _series_terms(series: str, r: float, estimate: float, tail: Callable[[int], float]) -> int:
-    """Smallest n >= 1 with tail(n) <= TOLERANCE, stepped to from estimate."""
-    n = max(math.ceil(estimate), 1)
-    while n <= MAX_TERMS and tail(n) > TOLERANCE:
-        n += 1
-    if n > MAX_TERMS:
-        raise ConvergenceError(
-            f"{series} at r = {r}: tail bound above tolerance {TOLERANCE:.3e} "
-            f"within the cap of {MAX_TERMS} terms"
-        )
-    while n > 1 and tail(n - 1) <= TOLERANCE:
-        n -= 1
-    return n
-
-
-def eval_extremal_by_closure(r: float, beta: "BetaParam | float") -> float:
-    """abeta.extremal.eval_extremal with its series sized by _series_terms."""
-    if not abs(r) < 1.0:
-        raise ValueError(f"|r| must be < 1, got {r}")
-    b = beta_value(beta)
-    q = abs(r)
-    if q == 0.0:
-        return 0.0
-    s = 1.0 - b
-    log_inv_q = -math.log(q)
-    a = math.log(2.0 / (TOLERANCE * (1.0 - q)))
-    n_max = _series_terms(
-        "extremal series",
-        r,
-        (a - math.log(s * a / log_inv_q + b)) / log_inv_q,
-        lambda n: 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q),
-    )
-    total, power, d = 0.0, r, 1.0
-    for _ in range(n_max - 1):
-        power *= r
-        d += s
-        total += power / d
-    return r + 2.0 * total
-
-
-def area_majorant_by_closure(r: float, beta: "BetaParam | float") -> float:
-    """abeta.extremal.area_majorant with its series sized by _series_terms."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r must lie in [0, 1), got {r}")
-    b = beta_value(beta)
-    x = r * r
-    if x == 0.0:
-        return 0.0
-    s = 1.0 - b
-
-    def tail(n: int) -> float:
-        q = x * (n + 1) / n
-        if q >= 1.0:
-            return math.inf
-        return 4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q)
-
-    log_inv_x = -math.log(x)
-    a = math.log(4.0 / (TOLERANCE * (1.0 - x)))
-    k = a / log_inv_x
-    n_max = _series_terms(
-        "area series", r, (a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0, tail
-    )
-    total, power, n, d = 0.0, x, 1.0, 1.0
-    for _ in range(n_max - 1):
-        power *= x
-        n += 1.0
-        d += s
-        total += n * power / (d * d)
-    return x + 4.0 * total
-
-
 def hat_f_by_ulp(N: int, beta: "BetaParam | float", r: float) -> float:
     """abeta.radii.hat_f stopping at the first term below half an ulp of
     the total, where the library stops at the first term the sum rounds away."""
@@ -453,7 +377,7 @@ def cli_main_full_parse(argv=None) -> int:
 def argparse_namespace(subparser, argv) -> argparse.Namespace:
     """The namespace argparse itself parses from argv, past the flag table
     that cli._Parser.parse_args reads a plain argv from (the `--flag=--`
-    reading of cli._Parser.parse_known_args still applies)."""
+    reading of cli._Parser._get_values still applies)."""
     return argparse.ArgumentParser.parse_args(subparser, argv)
 
 

@@ -23,7 +23,6 @@ from abeta.extremal import (
     area_majorant,
     eval_extremal,
     extremal_at_minus_one,
-    extremal_coeff,
 )
 from abeta.radii import (
     SAFEGUARD_STEPS,
@@ -36,7 +35,7 @@ from abeta.radii import (
     hat_f,
     solve_radius,
 )
-from oracles import hat_f_by_ulp, monotone_spot_check
+from oracles import hat_f_by_ulp, monotone_spot_check, reference_equation
 
 F_MINUS_ONE_B0 = 1.0 - 2.0 * math.log(2.0)
 
@@ -206,28 +205,6 @@ class TestLead:
             problem(variant).lead(r)
 
 
-def oracle_equation(prob, r):
-    """The radius equation with every term recomputed on each call: f(-1),
-    the hat_f terms from extremal_coeff and F of the area majorant."""
-    beta = prob.beta
-    area = prob.F(area_majorant(r, beta))
-    f_minus_one = extremal_at_minus_one(beta)
-    if prob.variant is Variant.BOHR_SCHWARZ:
-        return r ** (prob.p * prob.m) + eval_extremal(r, beta) - r + area + f_minus_one
-    hat = 0.0
-    if prob.N > 1:
-        hat = r
-        for n in range(2, prob.N):
-            hat += extremal_coeff(n, beta) * r**n
-    return (
-        eval_extremal(r ** prob.m, beta) ** prob.p
-        + eval_extremal(r, beta)
-        - hat
-        + area
-        + f_minus_one
-    )
-
-
 AREA_POLYNOMIALS = [
     ZERO_POLYNOMIAL,
     AreaPolynomial((0.0, 0.0)),
@@ -238,13 +215,16 @@ AREA_POLYNOMIALS = [
 
 
 class TestEquationConstants:
-    """Per-problem constants are computed once; the values stay bit for bit."""
+    """Per-problem constants are computed once; the values keep the bits of
+    oracles.reference_equation."""
 
     RADII = np.linspace(0.01, 0.95, 20).tolist()
 
     @pytest.mark.parametrize("F", AREA_POLYNOMIALS)
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
     def test_equation_equals_scalar_oracle(self, beta, F):
+        # A fixed grid beside test_equation_bits' random draws: starts up to
+        # 10**4, m = 1 (f(r) shared with the lead) and m = 3, F == 0 and F = 0 w.
         probs = [
             problem(variant, beta=beta, m=m, p=p, N=N, F=F)
             for m, p in itertools.product((1, 3), (0.5, 2.0))
@@ -255,7 +235,7 @@ class TestEquationConstants:
         ]
         for prob in probs:
             for r in self.RADII:
-                assert prob.equation(r) == oracle_equation(prob, r), (prob, r)
+                assert prob.equation(r).hex() == reference_equation(prob, r).hex(), (prob, r)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_start_and_level(self, variant):
