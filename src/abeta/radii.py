@@ -18,6 +18,7 @@ import enum
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Callable
 
 from .extremal import (
     BetaParam,
@@ -203,18 +204,12 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
     if not _MIN_TOL <= tol <= _MAX_TOL:
         raise ValueError(f"tol: must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
     eq = problem.equation
-    evaluations = 0
-
-    def value(r: float, inf_ok: bool = False) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        y = eq(r)
-        if not (math.isfinite(y) or (inf_ok and y == math.inf)):
-            raise BracketError(f"equation value at r = {r!r} is {y}, not finite")
-        return y
-
+    inf = math.inf  # -inf < y < inf is math.isfinite(y) for a float, without a call
     lo = min(tol, 1e-6)
-    flo = value(lo)
+    flo = eq(lo)
+    evaluations = 1
+    if not -inf < flo < inf:
+        raise _not_finite(lo, flo)
     if flo >= 0.0:
         raise BracketError(
             f"equation is nonnegative at r = {lo!r} (tol = {tol!r}): "
@@ -222,7 +217,10 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
         )
 
     hi = 0.5
-    fhi = value(hi, inf_ok=True)
+    fhi = eq(hi)
+    evaluations += 1
+    if not -inf < fhi <= inf:
+        raise _not_finite(hi, fhi)
     while fhi <= 0.0:
         if hi >= _UPPER_CAP:
             raise BracketError(
@@ -231,12 +229,14 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
         if fhi < 0.0:
             lo, flo = hi, fhi
         hi = min(1.0 - 0.5 * (1.0 - hi), _UPPER_CAP)
-        fhi = value(hi, inf_ok=True)
-    while fhi == math.inf:
+        fhi = _probe(eq, hi, inf_ok=True)
+        evaluations += 1
+    while fhi == inf:
         if hi - lo <= tol:
             raise BracketError(f"equation is +inf down to r = {hi!r}: no finite bracket")
         x = 0.5 * (lo + hi)
-        fx = value(x, inf_ok=True)
+        fx = _probe(eq, x, inf_ok=True)
+        evaluations += 1
         if fx < 0.0:
             lo, flo = x, fx
         else:
@@ -259,31 +259,43 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
     while True:
         if fa == 0.0:  # an exact zero, from a bisection or a step
             lo, hi = a - inset, a + inset
-            flo, fhi = value(lo), value(hi)
+            flo, fhi = _probe(eq, lo), _probe(eq, hi)
+            evaluations += 2
             if not flo < 0.0 < fhi:
                 raise BracketError(
                     f"no sign change around the exact zero at r = {a!r}: "
                     f"values {flo} and {fhi}"
                 )
             break
-        lo, hi = min(a, b), max(a, b)
+        # min(u, v) is v if v < u else u and max(u, v) v if v > u else u, as
+        # the builtins compare, so even a NaN takes the same branch.
+        lo = b if b < a else a
+        hi = b if b > a else a
         if hi - lo <= tol:
             break
         if t == 0.5:
             x = 0.5 * (lo + hi)
         else:
             tl = 0.5 * tol / (hi - lo)
-            x = a + min(max(t, tl), 1.0 - tl) * (b - a)
-        x = min(max(x, lo + inset), hi - inset)
-        fx = value(x)
+            if tl > t:
+                t = tl
+            th = 1.0 - tl
+            x = a + (th if th < t else t) * (b - a)
+        x = lo + inset if lo + inset > x else x
+        x = hi - inset if hi - inset < x else x
+        fx = eq(x)
+        evaluations += 1
+        if not -inf < fx < inf:
+            raise _not_finite(x, fx)
         if (fx < 0.0) == (fa < 0.0):
             c, fc = a, fa
         else:
             c, fc = b, fb
             b, fb = a, fa
         a, fa = x, fx
-        if abs(b - a) <= 0.5 * halved_at:
-            halved_at, stalled = abs(b - a), 0
+        width = b - a if b > a else a - b  # abs(b - a), the same bits
+        if width <= 0.5 * halved_at:
+            halved_at, stalled = width, 0
         else:
             stalled += 1
         # fc has the sign of fa, so every denominator below is nonzero
@@ -296,14 +308,24 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
                 (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
             )
 
-    iterations = evaluations
     root = 0.5 * (lo + hi)
-    return RootResult(
-        root=root,
-        bracket=(lo, hi),
-        residual=value(root),
-        iterations=iterations,
-    )
+    residual = eq(root)
+    if not -inf < residual < inf:
+        raise _not_finite(root, residual)
+    return RootResult(root, (lo, hi), residual, evaluations)
+
+
+def _probe(eq: Callable[[float], float], r: float, inf_ok: bool = False) -> float:
+    """eq(r) at a bracket-expansion, +inf-bisection or exact-zero probe of
+    solve_radius: finite, or +inf where inf_ok."""
+    y = eq(r)
+    if not (math.isfinite(y) or (inf_ok and y == math.inf)):
+        raise _not_finite(r, y)
+    return y
+
+
+def _not_finite(r: float, y: float) -> BracketError:
+    return BracketError(f"equation value at r = {r!r} is {y}, not finite")
 
 
 def baseline_bohr_radius(

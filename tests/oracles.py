@@ -28,7 +28,17 @@ from abeta.extremal import (
     beta_value,
     extremal_coeff,
 )
-from abeta.radii import BracketError, RadiusProblem, Variant
+from abeta.radii import (
+    _MAX_TOL,
+    _MIN_TOL,
+    _UPPER_CAP,
+    DEFAULT_TOL,
+    SAFEGUARD_STEPS,
+    BracketError,
+    RadiusProblem,
+    RootResult,
+    Variant,
+)
 from abeta.verify import DEFAULT_ORDER, TWO_PI, ClassMember, HerglotzMeasure, _normalized_area_rows
 
 
@@ -272,6 +282,115 @@ def reference_equation(self: RadiusProblem, r: float) -> float:
     return (
         lead + reference_eval_extremal(r, beta) - reference_hat_f(self.start, beta, r)
         + area - self.level
+    )
+
+
+def reference_solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult:
+    """abeta.radii.solve_radius with its probes behind one closure and its
+    clamps, bracket ends and step length taken by min, max and abs."""
+    if not _MIN_TOL <= tol <= _MAX_TOL:
+        raise ValueError(f"tol: must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
+    eq = problem.equation
+    evaluations = 0
+
+    def value(r: float, inf_ok: bool = False) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        y = eq(r)
+        if not (math.isfinite(y) or (inf_ok and y == math.inf)):
+            raise BracketError(f"equation value at r = {r!r} is {y}, not finite")
+        return y
+
+    lo = min(tol, 1e-6)
+    flo = value(lo)
+    if flo >= 0.0:
+        raise BracketError(
+            f"equation is nonnegative at r = {lo!r} (tol = {tol!r}): "
+            "no root the solver can resolve"
+        )
+
+    hi = 0.5
+    fhi = value(hi, inf_ok=True)
+    while fhi <= 0.0:
+        if hi >= _UPPER_CAP:
+            raise BracketError(
+                f"no sign change found below {_UPPER_CAP}; equation stuck at {fhi}"
+            )
+        if fhi < 0.0:
+            lo, flo = hi, fhi
+        hi = min(1.0 - 0.5 * (1.0 - hi), _UPPER_CAP)
+        fhi = value(hi, inf_ok=True)
+    while fhi == math.inf:
+        if hi - lo <= tol:
+            raise BracketError(f"equation is +inf down to r = {hi!r}: no finite bracket")
+        x = 0.5 * (lo + hi)
+        fx = value(x, inf_ok=True)
+        if fx < 0.0:
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+
+    # Chandrupatla's hybrid (Adv. Eng. Software 28(3), 1997): a is the
+    # latest point, b the other end of the bracket and c the point a or b
+    # replaced.  Each step goes a fraction t of the way from a to b: the
+    # secant through a and b first, then the inverse quadratic through a, b
+    # and c where his test finds it monotone, else t = 1/2.  Clamping t to
+    # [tl, 1 - tl] keeps each step tol/2 inside the bracket, so once a is
+    # within tol/2 of the root the next step crosses it and the bracket
+    # closes.  A bisection step is forced after SAFEGUARD_STEPS - 1 steps
+    # that have not halved the bracket, so a run takes at most
+    # SAFEGUARD_STEPS * ceil(log2(width / tol)) steps after bracketing.
+    inset = 0.25 * tol
+    a, fa, b, fb = hi, fhi, lo, flo
+    t = fa / (fa - fb)
+    halved_at, stalled = hi - lo, 0
+    while True:
+        if fa == 0.0:  # an exact zero, from a bisection or a step
+            lo, hi = a - inset, a + inset
+            flo, fhi = value(lo), value(hi)
+            if not flo < 0.0 < fhi:
+                raise BracketError(
+                    f"no sign change around the exact zero at r = {a!r}: "
+                    f"values {flo} and {fhi}"
+                )
+            break
+        lo, hi = min(a, b), max(a, b)
+        if hi - lo <= tol:
+            break
+        if t == 0.5:
+            x = 0.5 * (lo + hi)
+        else:
+            tl = 0.5 * tol / (hi - lo)
+            x = a + min(max(t, tl), 1.0 - tl) * (b - a)
+        x = min(max(x, lo + inset), hi - inset)
+        fx = value(x)
+        if (fx < 0.0) == (fa < 0.0):
+            c, fc = a, fa
+        else:
+            c, fc = b, fb
+            b, fb = a, fa
+        a, fa = x, fx
+        if abs(b - a) <= 0.5 * halved_at:
+            halved_at, stalled = abs(b - a), 0
+        else:
+            stalled += 1
+        # fc has the sign of fa, so every denominator below is nonzero
+        # once the test passes (it fails for fc == fa).
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        t = 0.5
+        if stalled < SAFEGUARD_STEPS - 1 and phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) + (
+                (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+            )
+
+    iterations = evaluations
+    root = 0.5 * (lo + hi)
+    return RootResult(
+        root=root,
+        bracket=(lo, hi),
+        residual=value(root),
+        iterations=iterations,
     )
 
 

@@ -1273,10 +1273,15 @@ class TestDashDashValue:
         parser.add_argument("--x", nargs="*")
         assert parser.parse_args(["--x"]).x == []
 
-    def test_no_single_value_flag_defaults_to_a_list(self):
-        # An unset flag with a [] default would read as `--flag=--`.
-        parsers = cli.build_parser().commands.values()
-        assert not [a.dest for p in parsers for a in p._actions if a.default == []]
+    def test_a_single_value_flag_reads_dash_dash_not_its_list_default(self):
+        # _get_values reads `--flag=--` as the string `--`; a [] default is
+        # only the value of an unset flag.  parse_args reads this argv from
+        # the flag table, parse_known_args through argparse's own parse.
+        parser = cli._Parser()
+        parser.add_argument("--x", default=[])
+        for parse in (parser.parse_args, lambda argv: parser.parse_known_args(argv)[0]):
+            assert parse(["--x=--"]).x == "--"
+            assert parse([]).x == []
 
 
 def written(doc, rows=None, out_format="json"):

@@ -1,26 +1,44 @@
-"""The radius equation and its evaluators give the bits of their reference
-copies in tests/oracles.py, and raise the same error for a bad argument.
+"""The radius equation, its evaluators and its solver give the bits of their
+reference copies in tests/oracles.py, and raise the same error for a bad
+argument.
 
 The references are the evaluators as they stood before their per-call work
 (beta coercion, the series-length walk, the area tail calls, hat_f at the
-first two starts, f(r) twice for an m = 1 Rogosinski lead) was trimmed.
-Every float operation that reaches a result is unchanged, so any difference
-in a result's bits is a fault.
+first two starts, f(r) twice for an m = 1 Rogosinski lead) was trimmed, and
+the solver as it stood before its steps stopped calling min, max, abs and a
+probe closure.  Every float operation that reaches a result is unchanged,
+so any difference in a result's bits is a fault.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeta.extremal import BetaParam, area_majorant, eval_extremal
-from abeta.radii import AreaPolynomial, RadiusProblem, Variant, ZERO_POLYNOMIAL, hat_f
+import abeta.radii
+from abeta.radii import (
+    DEFAULT_TOL,
+    ZERO_POLYNOMIAL,
+    AreaPolynomial,
+    RadiusProblem,
+    Variant,
+    hat_f,
+    solve_radius,
+)
 from oracles import (
     reference_area_majorant,
     reference_equation,
     reference_eval_extremal,
     reference_hat_f,
+    reference_solve_radius,
 )
+from test_radii import ADVERSARIAL_EQUATIONS
 
 
 def outcome(evaluate, *args):
@@ -46,6 +64,68 @@ STARTS = st.sampled_from([1, 2, 3, 5, 10, 50, 200])
 POLYNOMIALS = st.sampled_from(
     [ZERO_POLYNOMIAL, AreaPolynomial((0.0, 0.0)), AreaPolynomial((0.2, 0.05)), AreaPolynomial((3.0,))]
 )
+# p log-uniform on [0.01, 3000]: small p puts the root below the first
+# probe, and large p overflows the Rogosinski lead at the second.
+LEAD_POWERS = st.one_of(
+    st.sampled_from([0.01, 3000.0]), st.floats(math.log(0.01), math.log(3000.0)).map(math.exp)
+)
+TOLS = st.one_of(
+    st.sampled_from([1e-15, 1e-10, 1e-3]), st.floats(-15.0, -3.0).map(lambda e: 10.0**e)
+)
+
+
+def solved(solve, problem, tol):
+    """The root, bracket and residual bits and the count, or the error."""
+    try:
+        res = solve(problem, tol)
+    except Exception as exc:  # every error must match the reference's
+        return type(exc), str(exc)
+    lo, hi = res.bracket
+    return res.root.hex(), lo.hex(), hi.hex(), res.residual.hex(), res.iterations
+
+
+def custom(fn):
+    """A problem whose equation is fn."""
+
+    class Custom(RadiusProblem):
+        def equation(self, r):
+            return fn(r)
+
+    return Custom(Variant.BOHR_SCHWARZ, BetaParam(0.0))
+
+
+# Zero at the midpoint of the first bracket (1e-6, 0.5), where the first
+# step (or, above a pole, the first bisection) lands exactly.
+_ZERO = 0.5 * (1e-6 + 0.5)
+CUSTOM_ROOTS = {
+    "linear-exact-zero": lambda r: r - _ZERO,
+    "pole-then-exact-zero": lambda r: math.inf if r > 0.3 else r - _ZERO,
+}
+CUSTOM_ERRORS = {
+    "nan": lambda r: math.nan,
+    "nan-above-0.1": lambda r: -1.0 if r < 0.1 else math.nan,
+    "minus-inf-above-0.1": lambda r: -1.0 if r < 0.1 else -math.inf,
+    "pole-inside-the-bracket": lambda r: math.inf if 1e-3 < r < 0.3 else r * r - 0.1,
+    "inf-above-a-jump": lambda r: -1.0 if r <= 1e-9 else math.inf,
+    "positive": lambda r: 1.0,
+    "negative": lambda r: -1.0,
+    "exact-zero-without-a-sign-change": lambda r: 0.0 if abs(r - _ZERO) < 1e-3 else r - _ZERO,
+}
+
+# Both solvers on one adversarial equation at two tols, in a fresh
+# interpreter, so a stall fails the test instead of hanging the suite.
+ADVERSARIAL_BOTH = """
+import math, sys
+from test_equation_bits import custom, solved
+from abeta.radii import solve_radius
+from oracles import reference_solve_radius
+
+fn = eval("lambda r: " + sys.argv[1], vars(math))
+for tol in (1e-10, 1e-14):
+    print(repr(solved(solve_radius, custom(fn), tol)))
+    print(repr(solved(reference_solve_radius, custom(fn), tol)))
+"""
+
 BAD_R = [math.nan, 1.0, -1.0, 1.5, -1.5, math.inf, -math.inf]
 BAD_BETAS = [-0.1, 1.1, -5e-324, math.nan, math.inf, "x", None]
 
@@ -93,6 +173,46 @@ class TestSameBits:
         problem = RadiusProblem(variant, BetaParam(beta), m=m, p=p, N=N, F=F)
         assert outcome(problem.equation, r) == outcome(reference_equation, problem, r)
 
+    @given(
+        variant=st.sampled_from(list(Variant)),
+        beta=st.floats(min_value=0.0, max_value=0.999),
+        m=st.integers(1, 8),
+        p=LEAD_POWERS,
+        N=st.sampled_from([1, 2, 3, 5, 50, 200]),
+        F=st.lists(st.floats(0.0, 4.0), max_size=3).map(lambda c: AreaPolynomial(tuple(c))),
+        tol=TOLS,
+    )
+    @settings(max_examples=200, deadline=None)
+    # The overflow set's Rogosinski leads past the largest double: +inf at
+    # r = 1/2, bisected down to a finite bracket end.
+    @example(variant=Variant.BOHR_ROGOSINSKI, beta=0.9, m=1, p=3000.0, N=1, F=ZERO_POLYNOMIAL, tol=DEFAULT_TOL)
+    @example(variant=Variant.BOHR_ROGOSINSKI, beta=0.5, m=1, p=1e300, N=1, F=ZERO_POLYNOMIAL, tol=DEFAULT_TOL)
+    # radius --beta 0.5 --m 3 --p 0.01: nonnegative at the first probe.
+    @example(variant=Variant.BOHR_SCHWARZ, beta=0.5, m=3, p=0.01, N=1, F=ZERO_POLYNOMIAL, tol=DEFAULT_TOL)
+    def test_solve_radius(self, variant, beta, m, p, N, F, tol):
+        problem = RadiusProblem(variant, BetaParam(beta), m=m, p=p, N=N, F=F)
+        assert solved(solve_radius, problem, tol) == solved(reference_solve_radius, problem, tol)
+
+    @pytest.mark.parametrize("name", list(CUSTOM_ROOTS))
+    def test_solve_radius_on_an_exact_zero(self, name):
+        problem = custom(CUSTOM_ROOTS[name])
+        expected = solved(reference_solve_radius, problem, 1e-6)
+        assert isinstance(expected[-1], int)
+        assert solved(solve_radius, problem, 1e-6) == expected
+
+    @pytest.mark.parametrize("name", list(ADVERSARIAL_EQUATIONS))
+    def test_solve_radius_on_an_adversarial_equation(self, name):
+        roots = [str(Path(abeta.radii.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(roots))
+        done = subprocess.run(
+            [sys.executable, "-c", ADVERSARIAL_BOTH, ADVERSARIAL_EQUATIONS[name]],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 4
+        assert lines[0] == lines[1] and lines[2] == lines[3]
+
 
 class TestSameErrors:
     def test_eval_extremal(self):
@@ -131,3 +251,11 @@ class TestSameErrors:
                     expected = outcome(reference_equation, problem, r)
                     assert isinstance(expected, tuple)
                     assert outcome(problem.equation, r) == expected
+
+    @pytest.mark.parametrize("name", list(CUSTOM_ERRORS))
+    def test_solve_radius(self, name):
+        for tol in (1e-10, 1e-6):
+            problem = custom(CUSTOM_ERRORS[name])
+            expected = solved(reference_solve_radius, problem, tol)
+            assert isinstance(expected[0], type)
+            assert solved(solve_radius, problem, tol) == expected
