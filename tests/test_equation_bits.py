@@ -254,8 +254,8 @@ class TestSameErrors:
 
     @pytest.mark.parametrize("name", list(CUSTOM_ERRORS))
     def test_solve_radius(self, name):
+        problem = custom(CUSTOM_ERRORS[name])
         for tol in (1e-10, 1e-6):
-            problem = custom(CUSTOM_ERRORS[name])
             expected = solved(reference_solve_radius, problem, tol)
             assert isinstance(expected[0], type)
             assert solved(solve_radius, problem, tol) == expected
