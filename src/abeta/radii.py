@@ -2,8 +2,11 @@
 
 Both inequalities bound one majorant, lead(r) + sum_{n >= start} |a_n| r^n
 + F(S_r/pi), by the level -f(-1); RadiusProblem alone knows each variant's
-lead and start.  Its equation, the extremal member's majorant minus the
+lead and start.  Its equation H, the extremal member's majorant minus the
 level, rises on (0, 1) from negative at 0+ to positive near 1: one root.
+Two facts bound it before any evaluation: every term of the majorant
+vanishes at 0+, so H(0+) = -level, and the majorant is at least r^{pm}
+(a_n > 0, and f(x) >= x on [0, 1)), so the root is at most level^{1/(pm)}.
 The solver keeps a sign-change bracket and reports the final bracket and
 residual.  It steps by inverse quadratic interpolation where Chandrupatla's
 test accepts it (Adv. Eng. Software 28(3), 1997) and bisects otherwise,
@@ -190,33 +193,32 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
 def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult:
     """Unique root of the problem's equation in (0, 1), bracketed to tol.
 
-    The initial bracket starts at lo = min(tol, 1e-6) and moves hi from
-    0.5 halfway to 1 until a sign change appears, keeping each negative hi
-    as the new lo; the equation diverges to +inf as r -> 1, so failure to
-    bracket below the cap indicates an evaluation bug.  An hi where the
-    equation is +inf (a lead beyond the largest double, see
-    RadiusProblem.lead) is then bisected down to a finite one, each
-    negative midpoint becoming lo; any other non-finite value, or +inf
-    anywhere else, raises BracketError.  An equation already nonnegative
-    at the first lo raises BracketError: its root, if any, lies below lo,
-    where a bracket of width tol would not place it.
+    The first bracket runs from lo = 0, where H(0+) = -level is known and
+    never evaluated, to the first probe hi = min(level^{1/(pm)}, 0.5).
+    Where rounding leaves H(hi) <= 0, hi moves halfway to 1 until a sign
+    change appears, keeping each negative hi as the new lo; the equation
+    diverges to +inf as r -> 1, so failure to bracket below the cap
+    indicates an evaluation bug.  An hi where the equation is +inf (a lead
+    beyond the largest double, see RadiusProblem.lead) is then bisected
+    down to a finite one, each negative midpoint becoming lo; any other
+    non-finite value, or +inf anywhere else, raises BracketError.  An
+    equation nonnegative at low = min(tol, 1e-6) raises BracketError: its
+    root, if any, lies below low, where a bracket of width tol would not
+    place it.  low is evaluated first when level^{1/(pm)} <= 1e-6, and last
+    when the bracket closes below it, so both returned ends are evaluated.
     """
     if not _MIN_TOL <= tol <= _MAX_TOL:
         raise ValueError(f"tol: must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
     eq = problem.equation
     inf = math.inf  # -inf < y < inf is math.isfinite(y) for a float, without a call
-    lo = min(tol, 1e-6)
-    flo = eq(lo)
-    evaluations = 1
-    if not -inf < flo < inf:
-        raise _not_finite(lo, flo)
-    if flo >= 0.0:
-        raise BracketError(
-            f"equation is nonnegative at r = {lo!r} (tol = {tol!r}): "
-            "no root the solver can resolve"
-        )
-
-    hi = 0.5
+    low = min(tol, 1e-6)
+    # lo is the analytic end 0+, not evaluated; hi is at or above the root.
+    lo, flo, evaluations = 0.0, -problem.level, 0
+    hi = min(problem.level ** (1.0 / (problem.p * problem.m)), 0.5)
+    if hi <= 1e-6:  # a tiny lead bound: is the root above the low probe at all?
+        lo, hi, flo, evaluations = low, hi if hi > low else 0.5, _probe(eq, low), 1
+        if flo >= 0.0:
+            raise _unresolvable(lo, tol)
     fhi = eq(hi)
     evaluations += 1
     if not -inf < fhi <= inf:
@@ -308,6 +310,12 @@ def solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult
                 (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
             )
 
+    if lo < low:  # the bracket closed below the low probe, or on the analytic 0
+        flo, evaluations = _probe(eq, low), evaluations + 1
+        if flo >= 0.0 or hi <= low:  # hi <= low only where the equation falls
+            raise _unresolvable(low if flo >= 0.0 else hi, tol)
+        lo = low
+
     root = 0.5 * (lo + hi)
     residual = eq(root)
     if not -inf < residual < inf:
@@ -326,6 +334,11 @@ def _probe(eq: Callable[[float], float], r: float, inf_ok: bool = False) -> floa
 
 def _not_finite(r: float, y: float) -> BracketError:
     return BracketError(f"equation value at r = {r!r} is {y}, not finite")
+
+
+def _unresolvable(r: float, tol: float) -> BracketError:
+    msg = f"equation is nonnegative at r = {r!r} (tol = {tol!r}): no root the solver can resolve"
+    return BracketError(msg)
 
 
 def baseline_bohr_radius(

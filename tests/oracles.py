@@ -301,15 +301,19 @@ def reference_solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> 
             raise BracketError(f"equation value at r = {r!r} is {y}, not finite")
         return y
 
-    lo = min(tol, 1e-6)
-    flo = value(lo)
-    if flo >= 0.0:
-        raise BracketError(
-            f"equation is nonnegative at r = {lo!r} (tol = {tol!r}): "
-            "no root the solver can resolve"
-        )
+    low = min(tol, 1e-6)
+    lo, flo = 0.0, -problem.level
+    hi = problem.level ** (1.0 / (problem.p * problem.m))
+    if hi <= 1e-6:
+        lo, hi = low, hi if hi > low else 0.5
+        flo = value(lo)
+        if flo >= 0.0:
+            raise BracketError(
+                f"equation is nonnegative at r = {lo!r} (tol = {tol!r}): "
+                "no root the solver can resolve"
+            )
 
-    hi = 0.5
+    hi = min(hi, 0.5)
     fhi = value(hi, inf_ok=True)
     while fhi <= 0.0:
         if hi >= _UPPER_CAP:
@@ -383,6 +387,15 @@ def reference_solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> 
             t = fa / (fb - fa) * fc / (fb - fc) + (
                 (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
             )
+
+    if lo < low:
+        flo = value(low)
+        if flo >= 0.0 or hi <= low:
+            raise BracketError(
+                f"equation is nonnegative at r = {low if flo >= 0.0 else hi!r} "
+                f"(tol = {tol!r}): no root the solver can resolve"
+            )
+        lo = low
 
     iterations = evaluations
     root = 0.5 * (lo + hi)

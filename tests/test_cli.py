@@ -413,7 +413,7 @@ class TestSweepCommand:
 GOLDEN_STDOUT = {
     ("radius", "--beta", "0.3", "--poly", "0.1,0.2", "--out-format", "csv"): (
         "variant,beta,m,p,N,poly,root,residual,bracket_lo,bracket_hi,iterations\r\n"
-        "bohr,0.29999999999999999,1,1,1,0.10000000000000001;0.20000000000000001,0.22281843113958419,3.2976843478138562e-11,0.22281843111458419,0.22281843116458419,8\r\n"
+        "bohr,0.29999999999999999,1,1,1,0.10000000000000001;0.20000000000000001,0.22281843114580377,4.3897885326771302e-11,0.22281843112080377,0.22281843117080377,7\r\n"
     ),
     ("radius", "--beta", "0.3", "--poly", "0.1,0.2", "--out-format", "json"): (
         "{\n"
@@ -426,16 +426,16 @@ GOLDEN_STDOUT = {
         "    0.1,\n"
         "    0.2\n"
         "  ],\n"
-        '  "root": 0.2228184311395842,\n'
-        '  "residual": 3.297684347813856e-11,\n'
-        '  "bracket_lo": 0.2228184311145842,\n'
-        '  "bracket_hi": 0.2228184311645842,\n'
-        '  "iterations": 8\n'
+        '  "root": 0.22281843114580377,\n'
+        '  "residual": 4.38978853267713e-11,\n'
+        '  "bracket_lo": 0.22281843112080377,\n'
+        '  "bracket_hi": 0.22281843117080377,\n'
+        '  "iterations": 7\n'
         "}\n"
     ),
     ("rogosinski", "--beta", "0.5", "--m", "2", "--p", "1.5", "--N", "3", "--out-format", "csv"): (
         "variant,beta,m,p,N,poly,root,residual,bracket_lo,bracket_hi,iterations\r\n"
-        "rogosinski,0.5,2,1.5,3,,0.42442448908997876,0,0.42442448906497876,0.42442448911497876,11\r\n"
+        "rogosinski,0.5,2,1.5,3,,0.42442448908997882,0,0.42442448906497882,0.42442448911497882,10\r\n"
     ),
     ("rogosinski", "--beta", "0.5", "--m", "2", "--p", "1.5", "--N", "3", "--out-format", "json"): (
         "{\n"
@@ -445,11 +445,11 @@ GOLDEN_STDOUT = {
         '  "p": 1.5,\n'
         '  "N": 3,\n'
         '  "poly": [],\n'
-        '  "root": 0.42442448908997876,\n'
+        '  "root": 0.4244244890899788,\n'
         '  "residual": 0.0,\n'
-        '  "bracket_lo": 0.42442448906497876,\n'
-        '  "bracket_hi": 0.42442448911497876,\n'
-        '  "iterations": 11\n'
+        '  "bracket_lo": 0.4244244890649788,\n'
+        '  "bracket_hi": 0.4244244891149788,\n'
+        '  "iterations": 10\n'
         "}\n"
     ),
     ("fs-bound", "--beta", "0.5", "--mu=-1,0.25,1", "--out-format", "csv"): (
@@ -521,8 +521,8 @@ GOLDEN_STDOUT = {
         'log_diff_lower,-0.46412673059676313,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'inverse_log_diff_upper,-0.34249631102578193,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
         'inverse_log_diff_lower,-0.11696592247647236,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        '"bohr[beta=0.5,m=1,p=1,N=1]",-0.021171224064261945,"r=0.1773657034066072, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
-        '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.01634479605422956,"r=0.15391781009884792, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
+        '"bohr[beta=0.5,m=1,p=1,N=1]",-0.021171224124692384,"r=0.17736570336170457, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
+        '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.016344796054231281,"r=0.15391781009884695, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
     ),
     ("verify", "--beta", "0.5", "--samples", "2", "--seed", "42", "--out-format", "json"): (
         "{\n"
@@ -711,14 +711,14 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "bohr[beta=0.5,m=1,p=1,N=1]",\n'
-        '      "max_violation": -0.021171224064261945,\n'
-        '      "witness": "r=0.1773657034066072, mode=monomial, seed=[42, 0], row=0",\n'
+        '      "max_violation": -0.021171224124692384,\n'
+        '      "witness": "r=0.17736570336170457, mode=monomial, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "rogosinski[beta=0.5,m=1,p=1,N=2]",\n'
-        '      "max_violation": -0.01634479605422956,\n'
-        '      "witness": "r=0.15391781009884792, mode=monomial, seed=[42, 0], row=0",\n'
+        '      "max_violation": -0.01634479605423128,\n'
+        '      "witness": "r=0.15391781009884695, mode=monomial, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    }\n"
         "  ]\n"
@@ -758,29 +758,29 @@ GOLDEN_STDOUT = {
         'log_diff_lower,-0.0022138522294604668,"beta=0.9, seed=[7, 1], row=6",130,true\r\n'
         'inverse_log_diff_upper,-0.097663082870285578,"beta=0.9, seed=[7, 1], row=55",130,true\r\n'
         'inverse_log_diff_lower,-0.066831603321413247,"beta=0, seed=[7, 0], row=52",130,true\r\n'
-        '"bohr[beta=0,m=1,p=1,N=1]",-0.0024823750397279243,"r=0.2841940876622407, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
-        '"rogosinski[beta=0,m=1,p=1,N=2]",-0.0027265559813029472,"r=0.24275492842622712, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
-        '"bohr[beta=0.9,m=1,p=1,N=1]",-0.0011815930545795855,"r=0.04477768414484444, mode=monomial, seed=[7, 1], row=55",65,true\r\n'
-        '"rogosinski[beta=0.9,m=1,p=1,N=2]",-0.0013319003109232702,"r=0.04181613481087239, mode=monomial, seed=[7, 1], row=55",65,true\r\n'
+        '"bohr[beta=0,m=1,p=1,N=1]",-0.0024823750843093184,"r=0.2841940876372939, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
+        '"rogosinski[beta=0,m=1,p=1,N=2]",-0.0027265558714428817,"r=0.24275492847446753, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
+        '"bohr[beta=0.9,m=1,p=1,N=1]",-0.001181593000041295,"r=0.04477768419133352, mode=monomial, seed=[7, 1], row=55",65,true\r\n'
+        '"rogosinski[beta=0.9,m=1,p=1,N=2]",-0.001331900328710188,"r=0.041816134797420676, mode=monomial, seed=[7, 1], row=55",65,true\r\n'
     ),
     ("sweep", "--beta-grid", "0,0.5", "--m", "1,2", "--variant", "both", "--out-format", "csv"): (
         "beta,m,p,N,variant,root,residual,iterations\r\n"
-        "0,1,1,1,bohr,0.28519408766224069,4.4853398772914943e-11,8\r\n"
-        "0,1,1,1,rogosinski,0.16320489851547759,6.9483530040770347e-11,8\r\n"
-        "0,2,1,1,bohr,0.40216812044599975,-5.3743731687205809e-11,8\r\n"
-        "0,2,1,1,rogosinski,0.24746237701180226,0,10\r\n"
-        "0.5,1,1,1,bohr,0.17836570340660721,3.520303493154131e-11,8\r\n"
-        "0.5,1,1,1,rogosinski,0.099449717276195906,6.4834249080547579e-11,8\r\n"
-        "0.5,2,1,1,bohr,0.28959608729268138,-1.5510703832433137e-11,9\r\n"
-        "0.5,2,1,1,rogosinski,0.16111816786081073,1.5466156133570053e-11,9\r\n"
+        "0,1,1,1,bohr,0.28519408763729392,0,8\r\n"
+        "0,1,1,1,rogosinski,0.16320489851548475,6.9503403032911137e-11,7\r\n"
+        "0,2,1,1,bohr,0.40216812044599975,-5.3743731687205809e-11,7\r\n"
+        "0,2,1,1,rogosinski,0.24746237701180226,0,9\r\n"
+        "0.5,1,1,1,bohr,0.17836570336170457,-3.6343622555889965e-11,6\r\n"
+        "0.5,1,1,1,rogosinski,0.099449717262768439,2.9966307213413756e-11,6\r\n"
+        "0.5,2,1,1,bohr,0.28959608727819453,-4.0342840179619088e-11,8\r\n"
+        "0.5,2,1,1,rogosinski,0.16111816783974314,-2.3905238899502024e-11,8\r\n"
     ),
     ("sweep", "--beta-grid", "0.25", "--m", "2", "--p", "0.5,2", "--N", "1,3",
      "--variant", "rogosinski"): (
         "beta,m,p,N,variant,root,residual,iterations\r\n"
-        "0.25,2,0.5,1,rogosinski,0.14346385288698668,0,9\r\n"
-        "0.25,2,0.5,3,rogosinski,0.27954482396457137,3.5109859464199644e-11,8\r\n"
-        "0.25,2,2,1,rogosinski,0.23529572241286265,3.0992597377377251e-11,8\r\n"
-        "0.25,2,2,3,rogosinski,0.51389801969097937,-6.7372885048655462e-11,11\r\n"
+        "0.25,2,0.5,1,rogosinski,0.1434638528622281,-5.9955818088042179e-11,6\r\n"
+        "0.25,2,0.5,3,rogosinski,0.27954482396456909,3.5106695328579463e-11,6\r\n"
+        "0.25,2,2,1,rogosinski,0.23529572241286267,3.0992652888528482e-11,7\r\n"
+        "0.25,2,2,3,rogosinski,0.51389801969097937,-6.7372885048655462e-11,10\r\n"
     ),
 }
 

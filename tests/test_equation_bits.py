@@ -84,21 +84,39 @@ def solved(solve, problem, tol):
     return res.root.hex(), lo.hex(), hi.hex(), res.residual.hex(), res.iterations
 
 
-def custom(fn):
-    """A problem whose equation is fn."""
+class OutsideTheUnitInterval(BaseException):
+    """Raised on an evaluation at r outside (0, 1); not an Exception, so it
+    passes solved() and fails the test."""
 
-    class Custom(RadiusProblem):
-        def equation(self, r):
+
+class Watched(RadiusProblem):
+    """A problem whose equation may be evaluated in (0, 1) only."""
+
+    def equation(self, r):
+        if not 0.0 < r < 1.0:
+            raise OutsideTheUnitInterval(f"equation evaluated at r = {r!r}")
+        return self.value(r)
+
+    def value(self, r):
+        return super().equation(r)
+
+
+def custom(fn):
+    """A problem whose equation is fn, at beta = 0 and p = m = 1."""
+
+    class Custom(Watched):
+        def value(self, r):
             return fn(r)
 
     return Custom(Variant.BOHR_SCHWARZ, BetaParam(0.0))
 
 
-# Zero at the midpoint of the first bracket (1e-6, 0.5), where the first
-# step (or, above a pole, the first bisection) lands exactly.
-_ZERO = 0.5 * (1e-6 + 0.5)
+# Zero at the midpoint of the first bracket (0, level), where the first
+# bisection lands exactly above a pole, and where the first secant step
+# lands exactly on a line through (0, -level), the analytic end.
+_ZERO = 0.5 * custom(None).level
 CUSTOM_ROOTS = {
-    "linear-exact-zero": lambda r: r - _ZERO,
+    "linear-exact-zero": lambda r: 2.0 * (r - _ZERO),
     "pole-then-exact-zero": lambda r: math.inf if r > 0.3 else r - _ZERO,
 }
 CUSTOM_ERRORS = {
@@ -109,7 +127,10 @@ CUSTOM_ERRORS = {
     "inf-above-a-jump": lambda r: -1.0 if r <= 1e-9 else math.inf,
     "positive": lambda r: 1.0,
     "negative": lambda r: -1.0,
-    "exact-zero-without-a-sign-change": lambda r: 0.0 if abs(r - _ZERO) < 1e-3 else r - _ZERO,
+    "exact-zero-without-a-sign-change": lambda r: 0.0 if abs(r - _ZERO) < 1e-3 else 2.0 * (r - _ZERO),
+    # Positive wherever a step lands, so the bracket closes on the analytic
+    # end 0, and negative at the low probe min(tol, 1e-6) above it.
+    "negative-only-at-the-low-probe": lambda r: -1.0 if r in (1e-10, 1e-6) else 1.0,
 }
 
 # Both solvers on one adversarial equation at two tols, in a fresh
@@ -190,14 +211,20 @@ class TestSameBits:
     # radius --beta 0.5 --m 3 --p 0.01: nonnegative at the first probe.
     @example(variant=Variant.BOHR_SCHWARZ, beta=0.5, m=3, p=0.01, N=1, F=ZERO_POLYNOMIAL, tol=DEFAULT_TOL)
     def test_solve_radius(self, variant, beta, m, p, N, F, tol):
-        problem = RadiusProblem(variant, BetaParam(beta), m=m, p=p, N=N, F=F)
-        assert solved(solve_radius, problem, tol) == solved(reference_solve_radius, problem, tol)
+        problem = Watched(variant, BetaParam(beta), m=m, p=p, N=N, F=F)
+        got = solved(solve_radius, problem, tol)
+        assert got == solved(reference_solve_radius, problem, tol)
+        if isinstance(got[0], str):
+            # The majorant is at least r^{pm}, so its root is at most the
+            # first probe's level^{1/(pm)}.
+            assert float.fromhex(got[0]) <= problem.level ** (1 / (p * m)) + tol
 
     @pytest.mark.parametrize("name", list(CUSTOM_ROOTS))
     def test_solve_radius_on_an_exact_zero(self, name):
         problem = custom(CUSTOM_ROOTS[name])
         expected = solved(reference_solve_radius, problem, 1e-6)
-        assert isinstance(expected[-1], int)
+        # The bracket the exact-zero branch sets, tol/4 either side.
+        assert expected[1:3] == ((_ZERO - 0.25e-6).hex(), (_ZERO + 0.25e-6).hex())
         assert solved(solve_radius, problem, 1e-6) == expected
 
     @pytest.mark.parametrize("name", list(ADVERSARIAL_EQUATIONS))

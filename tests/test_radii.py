@@ -401,8 +401,8 @@ class TestSolveRadius:
     @pytest.mark.parametrize(
         "beta, m, p, N, root, evaluations",
         [
-            (0.9, 1, 3000.0, 1, 0.04577768419301338, 9),
-            (0.5, 1, 1e300, 1, 0.1783657033881915, 8),
+            (0.9, 1, 3000.0, 1, 0.04577768419301338, 8),
+            (0.5, 1, 1e300, 1, 0.1783657033881915, 7),
         ],
     )
     def test_overflowing_lead_is_bisected_to_a_certified_root(
@@ -417,8 +417,9 @@ class TestSolveRadius:
 
     def test_exact_zero_at_a_bisection_midpoint(self):
         tol = 1e-6
-        # +inf at the first probe 0.5; the first midpoint is the zero.
-        zero = 0.5 * (tol + 0.5)
+        # +inf at the first probe, the beta = 0 lead bound -f(-1) = 0.386;
+        # the first midpoint, halfway from the analytic end 0, is the zero.
+        zero = 0.5 * (0.0 + problem().level)
         seen = {}
 
         class Step(RadiusProblem):
@@ -442,11 +443,14 @@ class TestSolveRadius:
                 prob = problem(beta=float(beta), m=m, p=p, F=F)
                 res = solve_radius(prob, tol)
                 iterations.append(res.iterations)
-                # The documented start: lo = tol, hi = 0.5 moved halfway to
-                # 1, each negative hi becoming lo, until the equation is
-                # positive at hi.
-                lo, hi, probes = tol, 0.5, 2
-                assert prob.equation(lo) < 0
+                # The documented start: lo = 0, where the equation tends
+                # to -level, and hi = min(level^{1/(pm)}, 1/2), at or above
+                # the root, moved halfway to 1 while the equation is not
+                # positive there, each negative hi becoming lo.
+                bound = prob.level ** (1 / (p * m))
+                assert res.root <= bound + tol
+                lo, hi, probes = 0.0, min(bound, 0.5), 1
+                assert prob.equation(tol) < 0
                 while prob.equation(hi) <= 0:
                     lo = hi if prob.equation(hi) < 0 else lo
                     hi, probes = 1.0 - 0.5 * (1.0 - hi), probes + 1
@@ -462,14 +466,15 @@ class TestSolveRadius:
 
     def test_exact_zero_step_evaluates_both_bracket_ends(self):
         tol = 1e-6
-        # The midpoint of the initial bracket (tol, 0.5): bisection and
-        # regula falsi agree on it, so the first step hits the zero exactly.
-        zero = 0.5 * (tol + 0.5)
+        # The midpoint of the initial bracket (0, level) at beta = 0 and
+        # p = m = 1: a line through (0, -level) meets it there, so the
+        # first secant step hits the zero exactly.
+        zero = 0.5 * problem().level
         seen = {}
 
         class Linear(RadiusProblem):
             def equation(self, r):
-                seen[r] = r - zero
+                seen[r] = 2.0 * (r - zero)
                 return seen[r]
 
         res = solve_radius(Linear(Variant.BOHR_SCHWARZ, BetaParam(0.0)), tol)
@@ -545,10 +550,12 @@ def test_adversarial_equation_within_the_worst_case(name, tol):
     assert done.returncode == 0, done.stderr
     res = json.loads(done.stdout)
     fn = eval("lambda r: " + expr, vars(math))
-    # The documented start: lo = tol, hi = 0.5 moved halfway to 1, each
-    # negative hi becoming lo, until the equation is positive at hi.
-    lo, hi, probes = tol, 0.5, 2
-    assert fn(lo) < 0
+    # The documented start: lo = 0 (negative just above it, as the
+    # analytic end assumes) and hi = min(level, 1/2) at beta = 0 and
+    # p = m = 1, moved halfway to 1 while the equation is not positive
+    # there, each negative hi becoming lo.
+    lo, hi, probes = 0.0, min(problem().level, 0.5), 1
+    assert fn(min(tol, 1e-6)) < 0
     while fn(hi) <= 0:
         lo = hi if fn(hi) < 0 else lo
         hi, probes = 1.0 - 0.5 * (1.0 - hi), probes + 1
@@ -577,6 +584,20 @@ def test_query_mix_evaluation_budget(monkeypatch):
             assert cli.main(argv) == 0
         iterations.append(json.loads(out.getvalue())["iterations"])
     assert len(iterations) == 1600
-    assert max(iterations) <= 20
-    assert np.percentile(iterations, 99) <= 14
-    assert np.median(iterations) <= 10
+    assert max(iterations) <= 13
+    assert np.percentile(iterations, 99) <= 12
+    assert np.median(iterations) <= 9
+
+
+def test_tiny_root_with_pm_below_one_is_bracketed_from_its_lead_bound():
+    # p m = 0.26 puts the root near 4.3e-6, where the equation is concave
+    # like r^{pm}; the first probe at level^{1/(pm)} lies just above it.
+    argv = ["radius", "--beta", "0.9199652016055545", "--m", "1",
+            "--p", "0.26071768121226896", "--poly", "0.8751579931588623"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    res = json.loads(out.getvalue())
+    prob = problem(beta=0.9199652016055545, p=0.26071768121226896, F=AreaPolynomial((0.8751579931588623,)))
+    assert prob.equation(res["bracket_lo"]) < 0 < prob.equation(res["bracket_hi"])
+    assert res["iterations"] <= 4  # 15 when the first probe was r = 1/2

@@ -64,9 +64,9 @@ def test_main_exits_1_after_printing_every_digest(tool, monkeypatch, capsys):
 # errors differently on 3.11 than on 3.10 and 3.12.  overflow holds the
 # m = 1 Rogosinski leads whose f(r)^p passes the largest double.
 PINNED = {
-    "query_mix(3)": "2b2a85b5d266f637137ac26c616c625e42bb91eb9bee59048bf54869475fa3b5",
-    "sweep_grid(3)": "73b2c3a37cf535313a45c2cd18d11fb21685d0aa17ed8f1922d33f2a8bb150a2",
-    "overflow": "ee1696671169ee79a87592fae55eb844a4aa1107515170e16bce569d279965ac",
+    "query_mix(3)": "1d9b6e1d176ac8de336186c25c46b55d2eaebc05933439badd12084cd64a6df6",
+    "sweep_grid(3)": "00de2dca6b3f437dc5ba5841981ba7789e92e64ae503fce0219c928b73c91b76",
+    "overflow": "d0b5bff61e66cc7792914663f27ec8c10b93fd1150cab9a602c2956713eb6f9d",
 }
 
 
