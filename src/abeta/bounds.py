@@ -23,7 +23,7 @@ class LogCoeffPair(namedtuple("LogCoeffPair", "first second")):
     @property
     def moduli_difference(self) -> float:
         """|second| - |first|, the quantity the sharp bounds control."""
-        return complex_modulus(self.second) - complex_modulus(self.first)
+        return abs(self.second) - abs(self.first)
 
 
 def _fs_threshold(b: float) -> float:
@@ -55,25 +55,9 @@ def fekete_szego_bound(mu: float, beta: "float | object") -> float:
     return bound
 
 
-# Complex products and moduli of member coefficients are written out in real
-# arithmetic, so a block of members (numpy arrays) rounds exactly as one
-# member (CPython complex scalars) does: numpy's complex multiply may fuse a
-# product into the sum, and its complex abs is not libm's hypot.
-def complex_product(z, w):
-    """z * w for complex scalars or arrays."""
-    return (z.real * w.real - z.imag * w.imag) + (z.real * w.imag + z.imag * w.real) * 1j
-
-
-def complex_modulus(z):
-    """|z| for complex scalars or arrays."""
-    import numpy as np  # here, not at the top: no radius or bound command calls this
-
-    return np.hypot(z.real, z.imag)
-
-
 def fekete_szego_functional(a2, a3, mu: float):
     """|a3 - mu*a2^2|, for complex scalars or arrays of (a2, a3)."""
-    return complex_modulus(a3 - complex_product(mu * a2, a2))
+    return abs(a3 - mu * a2 * a2)
 
 
 def log_coeffs(a2: complex, a3: complex) -> LogCoeffPair:
@@ -81,13 +65,13 @@ def log_coeffs(a2: complex, a3: complex) -> LogCoeffPair:
 
     a2 and a3 may also be arrays, one entry per member.
     """
-    return LogCoeffPair(first=a2 / 2.0, second=(a3 - complex_product(a2, a2) / 2.0) / 2.0)
+    return LogCoeffPair(first=a2 / 2.0, second=(a3 - a2 * a2 / 2.0) / 2.0)
 
 
 def inverse_log_coeffs(a2: complex, a3: complex) -> LogCoeffPair:
     """First two logarithmic coefficients of the inverse from (a2, a3),
     which may also be arrays."""
-    return LogCoeffPair(first=-a2 / 2.0, second=-(a3 - complex_product(1.5 * a2, a2)) / 2.0)
+    return LogCoeffPair(first=-a2 / 2.0, second=-(a3 - 1.5 * a2 * a2) / 2.0)
 
 
 def log_diff_bounds(beta: "float | object") -> tuple[float, float]:

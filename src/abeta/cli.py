@@ -329,8 +329,7 @@ def _verify_module():
     """abeta.verify, imported on first use: it needs numpy, and no other
     command should pay for loading it.  Unless the caller set it,
     OPENBLAS_NUM_THREADS becomes 1 first: numpy's OpenBLAS otherwise starts
-    a busy worker per extra CPU at import, and verify's only BLAS call, an
-    atoms-long product per row, has no use for one."""
+    a busy worker per extra CPU at import, and verify makes no BLAS call."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import verify
 

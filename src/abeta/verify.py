@@ -49,20 +49,21 @@ MU_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 RADIUS_OFFSET = 1e-3
 ROGOSINSKI_N = 2
 
-# Most atoms a sampled measure may have: each sample's Herglotz product
-# builds order x atoms complex values (16 bytes each): at this bound, 3-4 MB
-# at the sweep's per-beta order (19-26) and 10 MB at DEFAULT_ORDER; far more
-# atoms would fail in numpy's allocator instead.
+# Most atoms a sampled measure may have: a block's Herglotz product holds
+# three (block x atoms) complex arrays (16 bytes an entry) and its sampled
+# weights and angles two real ones, about 660 MB at this bound in 1024-row
+# blocks (peak RSS of `verify --beta 0.5 --atoms 10000 --samples 1024`);
+# far more atoms would fail in numpy's allocator instead.
 MAX_ATOMS = 10_000
 
-# Most samples per beta: at about 7 us each, 10^7 take a minute or two.
+# Most samples per beta: at about 2.4 us each, 10^7 take about half a minute.
 MAX_SAMPLES = 10**7
 
 # Samples the sweep checks together.  No output depends on it, since sample
 # si is row si of its stream; it trades numpy's per-call overhead against
-# the (block x order) temporaries: with 4 atoms at the per-beta order (19-26),
-# 1024-sample blocks cut a 3 x 3334-sample sweep from ~100 to ~70 ms and add
-# ~1.7 MB to verify's ~37 MB peak RSS over 64-sample ones (x86-64, numpy 2.4).
+# the (block x atoms) arrays of the Herglotz product: with 4 atoms,
+# 1024-sample blocks cut a 3 x 3334-sample sweep from ~50 to ~22 ms and add
+# ~1.6 MB to verify's ~37 MB peak RSS over 64-sample ones (x86-64, numpy 2.4).
 _BLOCK = 1024
 
 
@@ -134,33 +135,28 @@ def measure_to_caratheodory(mu: HerglotzMeasure, order: int = DEFAULT_ORDER) -> 
     return _caratheodory_rows(mu.weights[None], mu.angles[None], order)[0]
 
 
-# Complex entries of the (rows x order x atoms) exponentials built at once:
-# 157-215 rows of the default sweep (order 19-26, 4 atoms) per piece, and
-# bounded for large atom counts.
-_PRODUCT_ENTRIES = 1 << 14
-
-
 def _caratheodory_rows(weights: np.ndarray, angles: np.ndarray, order: int) -> np.ndarray:
     """Rows c_0..c_order of the measures with these weights and angles
     (rows x atoms), one row per measure.
 
-    Each row is its own matrix-vector product, so a row's coefficients do
-    not depend on the rows beside it or on how many rows are computed
-    together: the sweep's blocks and a one-measure call give the same bits.
-    Orders below 2 are the first columns of the order-2 product: numpy
-    multiplies a one-row matrix by another route, whose bits differ.
+    The terms 2 w_j z_j^n, z_j = e^{i theta_j}, go from one power to the
+    next by one complex product each, and c_n is their row sum.  Both are
+    entrywise or within a row, so a row's coefficients do not depend on
+    the rows beside it or on how many rows are computed together (the
+    sweep's blocks and a one-measure call give the same bits), and c_0..c_k
+    do not depend on the order asked for.  The product is not taken in
+    place: numpy multiplies a one-entry array in place by another route,
+    without the fused multiply-add, so a lone one-atom measure would round
+    differently from the same measure in a block.
     """
-    rows, atoms = weights.shape
-    width = max(order, 2)
-    n = np.arange(1, width + 1, dtype=float)[:, None]
-    step = max(1, _PRODUCT_ENTRIES // (width * atoms))
-    c = np.empty((rows, width + 1), dtype=complex)
+    z = np.exp(1j * angles)
+    term = 2.0 * weights
+    c = np.empty((weights.shape[0], order + 1), dtype=complex)
     c[:, 0] = 1.0
-    for start in range(0, rows, step):
-        w, t = weights[start : start + step], angles[start : start + step]
-        product = np.exp(1j * (n * t[:, None, :])) @ w[..., None]
-        c[start : start + step, 1:] = 2.0 * product[..., 0]
-    return c[:, : order + 1]
+    for n in range(1, order + 1):
+        term = term * z
+        c[:, n] = term.sum(axis=1)
+    return c
 
 
 def caratheodory_to_member(c: np.ndarray, beta: "BetaParam | float") -> np.ndarray:
@@ -256,7 +252,7 @@ def _coefficient_family(beta: BetaParam, n_max: int) -> _Family:
     ns = range(2, n_max + 1)
     rhs = np.array([extremal_coeff(n, beta) for n in ns])
     ids = [f"coeff[n={n}]" for n in ns]
-    return ids, f"beta={beta.value:g}", lambda a: (_bounds.complex_modulus(a[:, 1:n_max]), rhs)
+    return ids, f"beta={beta.value:g}", lambda a: (np.abs(a[:, 1:n_max]), rhs)
 
 
 def _fs_and_log_family(beta: BetaParam) -> _Family:

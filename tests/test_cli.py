@@ -492,34 +492,34 @@ GOLDEN_STDOUT = {
     ),
     ("verify", "--beta", "0.5", "--samples", "2", "--seed", "42", "--out-format", "csv"): (
         "id,max_violation,witness,checks,pass\r\n"
-        'coeff[n=2],-0.50402828673449762,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
-        'coeff[n=3],-0.32964380206943877,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=4],-0.16336122375927831,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
-        'coeff[n=5],-0.24524997321703546,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=2],-0.50402828673449751,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=3],-0.32964380206943888,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=4],-0.16336122375927842,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=5],-0.2452499732170354,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'coeff[n=6],-0.011514472141038068,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'coeff[n=7],-0.08874505699305113,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
-        'coeff[n=8],-0.14172912827554485,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=8],-0.14172912827554479,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'coeff[n=9],-0.11607568543173663,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=10],-0.066889283052638804,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
-        'coeff[n=11],-0.025707964538118022,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=12],-0.17901819501920183,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=13],-0.080537027677611284,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=14],-0.070484366728388148,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=15],-0.062123700999449916,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=16],-0.037717288471157934,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=17],-0.1254384701864118,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
-        'coeff[n=18],-0.047656829788628674,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=10],-0.066889283052639081,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=11],-0.025707964538117967,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=12],-0.17901819501920177,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=13],-0.080537027677611145,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=14],-0.070484366728388009,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=15],-0.062123700999449832,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=16],-0.037717288471157767,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=17],-0.12543847018641183,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'coeff[n=18],-0.04765682978862848,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'coeff[n=19],-0.049967410971439891,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'coeff[n=20],-0.04267607802014331,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'coeff[n=20],-0.042676078020143088,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'fekete_szego[mu=-2],-2.8005240503127995,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'fekete_szego[mu=-1],-1.5653435601885264,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'fekete_szego[mu=0],-0.32964380206943877,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'fekete_szego[mu=-1],-1.5653435601885266,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
+        'fekete_szego[mu=0],-0.32964380206943888,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         'fekete_szego[mu=0.5],-0.45926935608929698,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
-        'fekete_szego[mu=1],-0.17376072403290688,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
-        'fekete_szego[mu=2],-1.0815377874360621,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'fekete_szego[mu=1],-0.17376072403290677,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'fekete_szego[mu=2],-1.0815377874360625,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
         'log_diff_upper,-0.64428720134406636,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
         'log_diff_lower,-0.46412673059676313,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
-        'inverse_log_diff_upper,-0.34249631102578193,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
+        'inverse_log_diff_upper,-0.3424963110257821,"beta=0.5, seed=[42, 0], row=0",2,true\r\n'
         'inverse_log_diff_lower,-0.11696592247647236,"beta=0.5, seed=[42, 0], row=1",2,true\r\n'
         '"bohr[beta=0.5,m=1,p=1,N=1]",-0.021171224124692384,"r=0.17736570336170457, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
         '"rogosinski[beta=0.5,m=1,p=1,N=2]",-0.016344796054231281,"r=0.15391781009884695, mode=monomial, seed=[42, 0], row=0",2,true\r\n'
@@ -537,25 +537,25 @@ GOLDEN_STDOUT = {
         '  "inequalities": [\n'
         "    {\n"
         '      "id": "coeff[n=2]",\n'
-        '      "max_violation": -0.5040282867344976,\n'
+        '      "max_violation": -0.5040282867344975,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=3]",\n'
-        '      "max_violation": -0.3296438020694388,\n'
+        '      "max_violation": -0.3296438020694389,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=4]",\n'
-        '      "max_violation": -0.1633612237592783,\n'
+        '      "max_violation": -0.16336122375927842,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=5]",\n'
-        '      "max_violation": -0.24524997321703546,\n'
+        '      "max_violation": -0.2452499732170354,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
@@ -573,7 +573,7 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=8]",\n'
-        '      "max_violation": -0.14172912827554485,\n'
+        '      "max_violation": -0.1417291282755448,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
@@ -585,55 +585,55 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=10]",\n'
-        '      "max_violation": -0.0668892830526388,\n'
+        '      "max_violation": -0.06688928305263908,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=11]",\n'
-        '      "max_violation": -0.025707964538118022,\n'
+        '      "max_violation": -0.025707964538117967,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=12]",\n'
-        '      "max_violation": -0.17901819501920183,\n'
+        '      "max_violation": -0.17901819501920177,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=13]",\n'
-        '      "max_violation": -0.08053702767761128,\n'
+        '      "max_violation": -0.08053702767761114,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=14]",\n'
-        '      "max_violation": -0.07048436672838815,\n'
+        '      "max_violation": -0.07048436672838801,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=15]",\n'
-        '      "max_violation": -0.062123700999449916,\n'
+        '      "max_violation": -0.06212370099944983,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=16]",\n'
-        '      "max_violation": -0.037717288471157934,\n'
+        '      "max_violation": -0.03771728847115777,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=17]",\n'
-        '      "max_violation": -0.1254384701864118,\n'
+        '      "max_violation": -0.12543847018641183,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=18]",\n'
-        '      "max_violation": -0.047656829788628674,\n'
+        '      "max_violation": -0.04765682978862848,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
@@ -645,7 +645,7 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "coeff[n=20]",\n'
-        '      "max_violation": -0.04267607802014331,\n'
+        '      "max_violation": -0.04267607802014309,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
@@ -657,13 +657,13 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=-1]",\n'
-        '      "max_violation": -1.5653435601885264,\n'
+        '      "max_violation": -1.5653435601885266,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=0]",\n'
-        '      "max_violation": -0.3296438020694388,\n'
+        '      "max_violation": -0.3296438020694389,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=1",\n'
         '      "checks": 2\n'
         "    },\n"
@@ -675,13 +675,13 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=1]",\n'
-        '      "max_violation": -0.17376072403290688,\n'
+        '      "max_violation": -0.17376072403290677,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
         "    {\n"
         '      "id": "fekete_szego[mu=2]",\n'
-        '      "max_violation": -1.081537787436062,\n'
+        '      "max_violation": -1.0815377874360625,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
@@ -699,7 +699,7 @@ GOLDEN_STDOUT = {
         "    },\n"
         "    {\n"
         '      "id": "inverse_log_diff_upper",\n'
-        '      "max_violation": -0.34249631102578193,\n'
+        '      "max_violation": -0.3424963110257821,\n'
         '      "witness": "beta=0.5, seed=[42, 0], row=0",\n'
         '      "checks": 2\n'
         "    },\n"
@@ -731,32 +731,32 @@ GOLDEN_STDOUT = {
         "id,max_violation,witness,checks,pass\r\n"
         'coeff[n=2],-0.0025959427904642673,"beta=0.9, seed=[7, 1], row=55",130,true\r\n'
         'coeff[n=3],-4.4802099069429779e-05,"beta=0, seed=[7, 0], row=5",130,true\r\n'
-        'coeff[n=4],-0.012250560701046687,"beta=0, seed=[7, 0], row=31",130,true\r\n'
+        'coeff[n=4],-0.012250560701046631,"beta=0, seed=[7, 0], row=31",130,true\r\n'
         'coeff[n=5],-0.00010725165690023131,"beta=0, seed=[7, 0], row=5",130,true\r\n'
-        'coeff[n=6],-0.00096994782636561361,"beta=0.9, seed=[7, 1], row=51",130,true\r\n'
-        'coeff[n=7],-0.00017163829462041313,"beta=0, seed=[7, 0], row=5",130,true\r\n'
-        'coeff[n=8],-0.0018568670658492825,"beta=0, seed=[7, 0], row=56",130,true\r\n'
+        'coeff[n=6],-0.0009699478263660577,"beta=0.9, seed=[7, 1], row=51",130,true\r\n'
+        'coeff[n=7],-0.00017163829462046865,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=8],-0.001856867065849227,"beta=0, seed=[7, 0], row=56",130,true\r\n'
         'coeff[n=9],-0.00023591834649885901,"beta=0, seed=[7, 0], row=5",130,true\r\n'
-        'coeff[n=10],-0.00086461102933324541,"beta=0, seed=[7, 0], row=53",130,true\r\n'
-        'coeff[n=11],-0.00029929637306985724,"beta=0, seed=[7, 0], row=5",130,true\r\n'
-        'coeff[n=12],-0.00041819746083399112,"beta=0, seed=[7, 0], row=6",130,true\r\n'
-        'coeff[n=13],-0.00036127182317075013,"beta=0, seed=[7, 0], row=5",130,true\r\n'
-        'coeff[n=14],-2.5536424144267933e-05,"beta=0, seed=[7, 0], row=48",130,true\r\n'
+        'coeff[n=10],-0.00086461102933321765,"beta=0, seed=[7, 0], row=53",130,true\r\n'
+        'coeff[n=11],-0.00029929637306991275,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=12],-0.00041819746083401887,"beta=0, seed=[7, 0], row=6",130,true\r\n'
+        'coeff[n=13],-0.00036127182317083339,"beta=0, seed=[7, 0], row=5",130,true\r\n'
+        'coeff[n=14],-2.55364241443512e-05,"beta=0, seed=[7, 0], row=48",130,true\r\n'
         'coeff[n=15],-4.3438966374459431e-05,"beta=0, seed=[7, 0], row=20",130,true\r\n'
-        'coeff[n=16],-0.00014428866582835709,"beta=0, seed=[7, 0], row=64",130,true\r\n'
-        'coeff[n=17],-0.00043350676935474675,"beta=0, seed=[7, 0], row=54",130,true\r\n'
-        'coeff[n=18],-0.0018210997147271035,"beta=0, seed=[7, 0], row=4",130,true\r\n'
-        'coeff[n=19],-0.00032962454532942109,"beta=0, seed=[7, 0], row=40",130,true\r\n'
-        'coeff[n=20],-0.00016530196508525441,"beta=0, seed=[7, 0], row=43",130,true\r\n'
+        'coeff[n=16],-0.00014428866582838484,"beta=0, seed=[7, 0], row=64",130,true\r\n'
+        'coeff[n=17],-0.00043350676935466348,"beta=0, seed=[7, 0], row=54",130,true\r\n'
+        'coeff[n=18],-0.0018210997147270758,"beta=0, seed=[7, 0], row=4",130,true\r\n'
+        'coeff[n=19],-0.00032962454532943497,"beta=0, seed=[7, 0], row=40",130,true\r\n'
+        'coeff[n=20],-0.00016530196508533768,"beta=0, seed=[7, 0], row=43",130,true\r\n'
         'fekete_szego[mu=-2],-0.02503730225074996,"beta=0, seed=[7, 0], row=1",130,true\r\n'
-        'fekete_szego[mu=-1],-0.017332858798879469,"beta=0, seed=[7, 0], row=1",130,true\r\n'
+        'fekete_szego[mu=-1],-0.017332858798879913,"beta=0, seed=[7, 0], row=1",130,true\r\n'
         'fekete_szego[mu=0],-4.4802099069429779e-05,"beta=0, seed=[7, 0], row=5",130,true\r\n'
-        'fekete_szego[mu=0.5],-0.032438849686301841,"beta=0, seed=[7, 0], row=20",130,true\r\n'
-        'fekete_szego[mu=1],-0.026211019465938623,"beta=0.9, seed=[7, 1], row=36",130,true\r\n'
-        'fekete_szego[mu=2],-0.0057794267086008766,"beta=0, seed=[7, 0], row=1",130,true\r\n'
+        'fekete_szego[mu=0.5],-0.032438849686301729,"beta=0, seed=[7, 0], row=20",130,true\r\n'
+        'fekete_szego[mu=1],-0.026211019465937957,"beta=0.9, seed=[7, 1], row=36",130,true\r\n'
+        'fekete_szego[mu=2],-0.0057794267086006545,"beta=0, seed=[7, 0], row=1",130,true\r\n'
         'log_diff_upper,-0.11281288330146844,"beta=0.9, seed=[7, 1], row=47",130,true\r\n'
         'log_diff_lower,-0.0022138522294604668,"beta=0.9, seed=[7, 1], row=6",130,true\r\n'
-        'inverse_log_diff_upper,-0.097663082870285578,"beta=0.9, seed=[7, 1], row=55",130,true\r\n'
+        'inverse_log_diff_upper,-0.097663082870286022,"beta=0.9, seed=[7, 1], row=55",130,true\r\n'
         'inverse_log_diff_lower,-0.066831603321413247,"beta=0, seed=[7, 0], row=52",130,true\r\n'
         '"bohr[beta=0,m=1,p=1,N=1]",-0.0024823750843093184,"r=0.2841940876372939, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
         '"rogosinski[beta=0,m=1,p=1,N=2]",-0.0027265558714428817,"r=0.24275492847446753, mode=monomial, seed=[7, 0], row=1",65,true\r\n'
@@ -828,7 +828,14 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-assert "numpy" not in sys.modules, "a query command imported numpy"
+from abeta.bounds import fekete_szego_functional, inverse_log_coeffs, log_coeffs
+for value in (
+    log_coeffs(0.5 + 0.25j, 0.1 - 0.3j).moduli_difference,
+    inverse_log_coeffs(0.5 + 0.25j, 0.1 - 0.3j).moduli_difference,
+    fekete_szego_functional(0.5 + 0.25j, 0.1 - 0.3j, 1.5),
+):
+    assert type(value) is float, value
+assert "numpy" not in sys.modules, "a query command or scalar bound imported numpy"
 blas_threads = os.environ.get("OPENBLAS_NUM_THREADS")
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "--beta", "0.3", "--samples", "4"]) == 0

@@ -183,17 +183,35 @@ class TestBlockSampler:
             assert _bits(angles[row]) == _bits(mu.angles)
             assert _bits(sample_measure(atoms, seed, row).weights) == _bits(mu.weights)
 
-    @pytest.mark.parametrize("atoms", [1, 3, 4, 8, 100, 300])
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5, 7, 8, 9, 12, 100, 300])
     def test_block_rows_equal_the_one_measure_product(self, atoms):
-        # 100 and 300 atoms split the block into chunks of two rows and one.
+        # Block sizes put each row at several positions inside numpy's
+        # vector loops, which run over all rows x atoms entries at once.
+        #
+        # The reference differs from the recurrence by rounding only.  With
+        # u = 2^-53 and the exact terms x_j = 2 w_j e^{i n theta_j}, whose
+        # moduli sum to 2: the recurrence's z_j = e^{i theta_j} is within 2u
+        # (cos and sin each within one ulp), and each of its n complex
+        # products adds at most sqrt(5) u (Brent, Percival and Zimmermann
+        # 2007), so each term is within (2 + sqrt(5)) n u |x_j|.  The
+        # reference rounds n theta_j < 2 pi n by at most 2 pi n u, then
+        # rounds the exponential (2u) and the product by w_j (sqrt(5) u),
+        # so each of its terms is within (2 pi n + 2 + sqrt(5)) u |x_j|.
+        # Either sum of atoms terms adds at most (atoms - 1) u sum_j |x_j|
+        # in any order (Higham, Accuracy and Stability, section 4.2, on the
+        # real and imaginary parts; Minkowski's inequality joins them).
+        # Together, to first order in u:
+        # |c_n - ref_n| <= 2u (10.52 n + 2 atoms + 2.24) <= 2u (11 n + 2 atoms + 3).
         seed = [2**64 - 40, 3]
-        rows = 80
-        weights, angles = _sample_rows(np.random.default_rng(seed), rows, atoms)
-        c = _caratheodory_rows(weights, angles, DEFAULT_ORDER)[:, 1:]
-        for row in range(rows):
-            mu = sample_measure(atoms, seed, row)
-            assert _bits(c[row]) == _bits(measure_to_caratheodory(mu)[1:])
-            assert _bits(c[row]) == _bits(reference_caratheodory(mu))
+        n = np.arange(1, DEFAULT_ORDER + 1)
+        bound = 2.0**-52 * (11 * n + 2 * atoms + 3)
+        for rows in (1, 2, 7, 9, 17, 80):
+            weights, angles = _sample_rows(np.random.default_rng(seed), rows, atoms)
+            c = _caratheodory_rows(weights, angles, DEFAULT_ORDER)[:, 1:]
+            for row in range(rows):
+                mu = sample_measure(atoms, seed, row)
+                assert _bits(c[row]) == _bits(measure_to_caratheodory(mu)[1:]), (rows, row)
+                assert np.all(np.abs(c[row] - reference_caratheodory(mu)) <= bound), (rows, row)
 
     @given(
         atoms=st.integers(min_value=1, max_value=8),
@@ -211,8 +229,8 @@ class TestBlockSampler:
 
     @pytest.mark.parametrize("atoms", [1, 2, 4, 8])
     def test_every_order_from_zero_is_a_prefix_bit_for_bit(self, atoms):
-        # Orders 0 and 1 included: a one-column product takes numpy's
-        # other route, so those orders must come from a wider one.
+        # Orders 0 and 1 included: each order stops the same recurrence
+        # earlier, whatever the number of rows.
         for seed, rows in enumerate([1, 2, 5, 33, 70]):
             weights, angles = _sample_rows(np.random.default_rng([seed, atoms]), rows, atoms)
             full = _caratheodory_rows(weights, angles, DEFAULT_ORDER)
@@ -226,7 +244,7 @@ class TestBlockSampler:
             ([0.0, 0.5], VerifyConfig(samples=150, atoms=5, seed=13)),
             # Past the default block; numpy sums 9 terms pairwise.
             ([0.5], VerifyConfig(samples=1100, atoms=9, seed=13)),
-            # 300 atoms split a block's product into chunks of two rows.
+            # 300 atoms: numpy's pairwise row sum splits each row in halves.
             ([0.5], VerifyConfig(samples=150, atoms=300, seed=13)),
         ]
         expected = [falsification_sweep(beta_grid, config) for beta_grid, config in cases]
