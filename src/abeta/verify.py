@@ -146,8 +146,8 @@ def _caratheodory_rows(weights: np.ndarray, angles: np.ndarray, order: int) -> n
     sweep's blocks and a one-measure call give the same bits), and c_0..c_k
     do not depend on the order asked for.  The product is not taken in
     place: numpy multiplies a one-entry array in place by another route,
-    without the fused multiply-add, so a lone one-atom measure would round
-    differently from the same measure in a block.
+    whose bits differ, so a lone one-atom measure would round differently
+    from the same measure in a block.
     """
     z = np.exp(1j * angles)
     term = 2.0 * weights
