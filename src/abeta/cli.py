@@ -383,6 +383,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ps = parse_grid(args.p, "--p")
     ns = _int_grid(args.N, "--N")
     variants = list(Variant) if args.variant == "both" else [Variant(args.variant)]
+    cells = len(betas) * len(ms) * len(ps) * len(ns) * len(variants)
+    if cells > _MAX_GRID_VALUES:  # a solve and a row each: bound them before the first
+        flags = "--beta-grid x --m x --p x --N x --variant"
+        raise CliError(f"{flags}: {cells} cells, more than {_MAX_GRID_VALUES}")
     rows = []
     for beta, m, p, n, variant in itertools.product(betas, ms, ps, ns, variants):
         problem = _validated(RadiusProblem, variant=variant, beta=beta, m=m, p=p, N=n)

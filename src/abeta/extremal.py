@@ -121,6 +121,9 @@ def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     because the coefficients are non-increasing in n.  The error is thus
     small next to f(r) ~ r as well: the radius equations raise f(r^m) to
     powers p < 1, which would magnify a merely absolute error at tiny r^m.
+    With rounding it is at most (1 + gamma_8) TOLERANCE |r| + gamma_{3n} f(|r|),
+    gamma_k = k u / (1 - k u) with u = 2^-53 (Higham, Accuracy and Stability
+    of Numerical Algorithms, sections 3.1 and 4.2).
     """
     q = abs(r)
     if not q < 1.0:
@@ -200,13 +203,11 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     certified absolute truncation error <= TOLERANCE.  Permits
     beta = 1 (the terms 4n r^{2n} still converge for r < 1).
 
-    The certificate covers truncation only.  The rounding error of the
-    sum grows like n * eps times its value, and near beta, r -> 1 the
-    series is thousands of terms long: at r = 0.99, beta = 1 the result
-    is 3.9e-11 off the exact value 4x/(1-x)^2 - 3x, x = r^2.  At
-    beta, r <= 0.95, where most radii lie, the total error stays within
-    TOLERANCE + 1e-15 (against a 50-digit sum, up to 9.97e-13 at the
-    corner).
+    With rounding, the error of n terms summing to A is at most
+    (1 + gamma_{n+12}) TOLERANCE + gamma_{5n+1} A (gamma_k as in
+    eval_extremal).  Near beta, r -> 1 the series is thousands of terms
+    long: at r = 0.99, beta = 1 the result is 3.9e-11 off the exact value
+    4x/(1-x)^2 - 3x, x = r^2.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")

@@ -49,22 +49,23 @@ MU_GRID = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)
 RADIUS_OFFSET = 1e-3
 ROGOSINSKI_N = 2
 
-# Most atoms a sampled measure may have: a block's Herglotz product holds
-# three (block x atoms) complex arrays (16 bytes an entry) and its sampled
-# weights and angles two real ones, about 660 MB at this bound in 1024-row
-# blocks (peak RSS of `verify --beta 0.5 --atoms 10000 --samples 1024`);
-# far more atoms would fail in numpy's allocator instead.
+# Most atoms a sampled measure may have.  A block holds (rows x 2 atoms)
+# uniform draws and three (rows x atoms) complex arrays (16 bytes an entry)
+# of the Herglotz product, so _BLOCK_ENTRIES bounds it; past that many atoms
+# a block is one row, under 1 MB at this bound, and `verify --beta 0.5
+# --atoms 10000 --samples 1024` peaks at about 36 MB RSS (x86-64, numpy 2.4).
 MAX_ATOMS = 10_000
 
 # Most samples per beta: at about 2.4 us each, 10^7 take about half a minute.
 MAX_SAMPLES = 10**7
 
-# Samples the sweep checks together.  No output depends on it, since sample
-# si is row si of its stream; it trades numpy's per-call overhead against
-# the (block x atoms) arrays of the Herglotz product: with 4 atoms,
-# 1024-sample blocks cut a 3 x 3334-sample sweep from ~50 to ~22 ms and add
-# ~1.6 MB to verify's ~37 MB peak RSS over 64-sample ones (x86-64, numpy 2.4).
-_BLOCK = 1024
+# Entries (rows x atoms) of the samples the sweep checks together, in blocks
+# of max(1, _BLOCK_ENTRIES // atoms) rows.  No output depends on it, since
+# sample si is row si of its stream; it trades numpy's per-call overhead
+# against the (rows x atoms) arrays of the Herglotz product: with 4 atoms,
+# 1024-row blocks cut a 3 x 3334-sample sweep from ~50 to ~22 ms and add
+# ~1.6 MB to verify's ~37 MB peak RSS over 64-row ones (x86-64, numpy 2.4).
+_BLOCK_ENTRIES = 4096
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: compare by identity
@@ -465,8 +466,9 @@ def falsification_sweep(
             families.append(_radius_family(problem, DEFAULT_ORDER, at))
             order = max(order, _truncation(bp, DEFAULT_ORDER, at)[0])
         rng = np.random.default_rng([config.seed, gi])
-        for start in range(0, config.samples, _BLOCK):
-            rows = range(start, min(start + _BLOCK, config.samples))
+        block = max(1, _BLOCK_ENTRIES // config.atoms)
+        for start in range(0, config.samples, block):
+            rows = range(start, min(start + block, config.samples))
             c = _caratheodory_rows(*_sample_rows(rng, len(rows), config.atoms), order)
             a = caratheodory_to_member(c, bp)
             for ids, witness, evaluate in families:

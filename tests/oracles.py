@@ -2,14 +2,17 @@
 
 Each one recomputes a quantity by a different route from the library's
 (the generic Psi pipeline behind the closed-form logarithmic bounds, Euler
-summation of the boundary series, long division of power series, ...), so
-none of them is needed by the library itself.
+summation of the boundary series, the radius equation in closed form, long
+division of power series, ...), so none of them is needed by the library
+itself.  The radius equation's truth comes with the error bounds its
+evaluators state, which the truth checks assert.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -17,28 +20,12 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from abeta import cli
-from abeta.extremal import (
-    MAX_TERMS,
-    TOLERANCE,
-    BetaParam,
-    ConvergenceError,
-    beta_value,
-    extremal_coeff,
-)
-from abeta.radii import (
-    _MAX_TOL,
-    _MIN_TOL,
-    _UPPER_CAP,
-    DEFAULT_TOL,
-    SAFEGUARD_STEPS,
-    BracketError,
-    RadiusProblem,
-    RootResult,
-    Variant,
-)
+from abeta.extremal import TOLERANCE, BetaParam, ConvergenceError, beta_value, extremal_coeff
+from abeta.radii import BracketError, RadiusProblem, Variant
 from abeta.verify import DEFAULT_ORDER, TWO_PI, ClassMember, HerglotzMeasure, _normalized_area_rows
 
 
@@ -163,248 +150,180 @@ def hat_f_by_ulp(N: int, beta: "BetaParam | float", r: float) -> float:
     return total
 
 
-# The radius equation and its evaluators as they stood before their
-# per-call work was trimmed, copied unchanged but for their names: every
-# float operation that reaches a result is the same, so the library must
-# give the same bits, and the same error for an invalid argument.
+# -- The radius equation in closed form, to 34 digits --
+#
+# With s = 1 - beta and d_n = 1 + s (n - 1), a_n = 2 / d_n for n >= 2, and the
+# sums the library truncates have closed forms that share none of its code:
+#   sum_{n>=N} a_n r^n = (2 r^N / d_N) 2F1(1, A; A + 1; r), A = d_N / s, so that
+#     f(r) = r (2 2F1(1, 1/s; 1 + 1/s; r) - 1);
+#   f(-1) = -1 + [psi((a + 1)/2) - psi(a/2)] / s, a = 2 + beta/s (DLMF 5.15.1 on
+#     -1 + (2/s) sum_{j>=0} (-1)^j / (j + a));
+#   x + sum_{n>=2} 4 n x^n / (s n + beta)^2 = 4 x 3F2(2, v, v; v + 1, v + 1; x) - 3 x,
+#     v = 1/s, as 4 n / (s n + beta)^2 = 4 (k + 1) v^2 / (k + v)^2 with k = n - 1;
+# at beta = 1 (s = 0) the two sums are 2 r^N / (1 - r) and 4 x / (1 - x)^2 - 3 x.
 
 
-def reference_too_long(series: str, r: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"{series} at r = {r}: tail bound above tolerance {TOLERANCE:.3e} "
-        f"within the cap of {MAX_TERMS} terms"
-    )
+def _hyper(power: int, A, z) -> mpmath.mpf:
+    """sum_{k>=0} (k + 1)^(power - 1) (A / (A + k))^power z^k for z < 1: the 2F1
+    above at power 1 and the 3F2 at power 2.  Past z = 0.8 mpmath's 2F1 slows
+    as A (1 - z) grows and its 3F2 sums term by term, so there (A / (A + k))^power
+    = int_0^inf w^(power - 1) e^{-w (1 + k/A)} dw gives a smooth quadrature."""
+    if z > 0.8:
+        return mpmath.quad(
+            lambda w: w ** (power - 1) * mpmath.exp(-w) / (1 - z * mpmath.exp(-w / A)) ** power, [0, mpmath.inf]
+        )
+    return mpmath.hyper([power] + [A] * power, [A + 1] * power, z, maxterms=10**6)
 
 
-def reference_eval_extremal(r: float, beta: "BetaParam | float") -> float:
-    """abeta.extremal.eval_extremal with its estimate clamped by max() and
-    its series sized by an upward then a downward walk."""
-    if not abs(r) < 1.0:
-        raise ValueError(f"|r| must be < 1, got {r}")
-    b = beta_value(beta)
+@functools.cache
+@mpmath.workdps(34)
+def true_tail(N: int, beta: float, r) -> mpmath.mpf:
+    """sum_{n>=N} a_n r^n of the extremal function, N >= 1 (a_1 = 1): f(r) at N = 1."""
+    s, r = 1 - mpmath.mpf(beta), mpmath.mpf(r)
+    d = 1 + s * (N - 1)
+    total = 2 * r**N / (1 - r) if s == 0 else 2 * r**N / d * _hyper(1, d / s, r)
+    return total - r if N == 1 else total
+
+
+def true_f(r, beta: float) -> mpmath.mpf:
+    return true_tail(1, beta, r)
+
+
+@functools.cache
+@mpmath.workdps(34)
+def true_head(N: int, beta: float, r: float) -> mpmath.mpf:
+    """sum_{n<N} a_n r^n, term by term."""
+    s, r = 1 - mpmath.mpf(beta), mpmath.mpf(r)
+    return mpmath.fsum([r] + [2 * r**n / (1 + s * (n - 1)) for n in range(2, N)]) if N > 1 else r * 0
+
+
+@functools.cache
+@mpmath.workdps(34)
+def true_f_minus_one(beta: float) -> mpmath.mpf:
+    s = 1 - mpmath.mpf(beta)
+    a = 2 + mpmath.mpf(beta) / s
+    return -1 + (mpmath.digamma((a + 1) / 2) - mpmath.digamma(a / 2)) / s
+
+
+@functools.cache
+@mpmath.workdps(34)
+def true_area(r: float, beta: float) -> mpmath.mpf:
+    """r^2 + sum_{n>=2} 4 n / (s n + beta)^2 r^{2n}, the sum area_majorant bounds."""
+    x, s = mpmath.mpf(r) ** 2, 1 - mpmath.mpf(beta)
+    return 4 * x * (1 / (1 - x) ** 2 if s == 0 else _hyper(2, 1 / s, x)) - 3 * x
+
+
+@mpmath.workdps(34)
+def true_equation(problem: RadiusProblem, r: float) -> mpmath.mpf:
+    """problem.equation(r): lead + sum_{n>=start} a_n r^n + F(area sum) + f(-1)."""
+    beta, r_m = problem.beta.value, mpmath.mpf(r) ** problem.m
+    lead = r_m**problem.p if problem.variant is Variant.BOHR_SCHWARZ else true_f(r_m, beta) ** problem.p
+    area = problem.F(true_area(r, beta)) if any(problem.F.lambdas) else 0
+    return lead + true_tail(problem.start, beta, r) + area + true_f_minus_one(beta)
+
+
+# -- The error bounds the evaluators state --
+#
+# Higham, Accuracy and Stability of Numerical Algorithms (2nd ed.), 3.1 and
+# 4.2: k roundings (1 + delta)^{+-1}, |delta| <= u = 2^-53, make 1 + theta_k,
+# |theta_k| <= gamma_k = k u / (1 - k u), and a sum of positive terms, each
+# within 1 + theta_j and summed by k more roundings, is within gamma_{j+k}
+# of its value times that value.  pow is within an ulp: two roundings.
+
+U = 2.0**-53
+
+
+def gamma(k: int) -> mpmath.mpf:
+    return mpmath.mpf(k) * U / (1 - k * U)
+
+
+def extremal_length(q: float) -> int:
+    """Most terms eval_extremal sums at |r| = q in (0, 1): it stops at the
+    least n with tail bound a_{n+1} q^n / (1 - q) <= TOLERANCE, and as
+    a_{n+1} <= 2, every n >= log(2 / (TOLERANCE (1 - q))) / log(1/q) has one."""
+    return max(1, math.ceil(math.log(2 / (TOLERANCE * (1 - q))) / -math.log(q)))
+
+
+def extremal_bound(r: float, beta: float) -> mpmath.mpf:
+    """eval_extremal's error: truncation TOLERANCE |r|, scaled by 1 + gamma_8
+    for the tail test's own roundings, plus rounding.  Term k of n, r^k
+    after k - 1 products over s k + beta after k - 1 sums and s, is within
+    theta_{2k}; n - 2 sums and the sum with r add n - 1: gamma_{3n} f(|r|)."""
     q = abs(r)
     if q == 0.0:
-        return 0.0
-    s = 1.0 - b
-    log_inv_q = -math.log(q)
-    a = math.log(2.0 / (TOLERANCE * (1.0 - q)))
-    n = max(math.ceil((a - math.log(s * a / log_inv_q + b)) / log_inv_q), 1)
-    while n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q) > TOLERANCE:
-        n += 1
-    if n > MAX_TERMS:
-        raise reference_too_long("extremal series", r)
-    while n > 1 and 2.0 / (s * n + b) * q ** (n - 1) / (1.0 - q) <= TOLERANCE:
-        n -= 1
-    # term n is 2 r^n / d with d = s n + b, stepped from d = 1 at n = 1.
-    total, power, d = 0.0, r, 1.0
-    for _ in range(n - 1):
-        power *= r
-        d += s
-        total += power / d
-    return r + 2.0 * total
+        return mpmath.mpf(0)
+    return TOLERANCE * q * (1 + gamma(8)) + gamma(3 * extremal_length(q)) * true_f(q, beta)
 
 
-def reference_area_majorant(r: float, beta: "BetaParam | float") -> float:
-    """abeta.extremal.area_majorant with a call per tail bound."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r must lie in [0, 1), got {r}")
-    b = beta_value(beta)
+def area_length(x: float) -> int:
+    """Most terms area_majorant sums at x = r^2 in (0, 1): its least n has
+    tail bound 4 (n+1) x^{n+1} / ((s (n+1) + beta)^2 (1 - x (n+1)/n)) <=
+    TOLERANCE, and with s (n+1) + beta >= 1, 1 - x (n+1)/n >= (1 - x)/2 for
+    n >= 2 / (1 - x), and (n+1) x^{(n+1)/2} <= 2 / (e L), L = log(1/x), every
+    such n with (n+1) L / 2 >= log(16 / (e L (1 - x) TOLERANCE)) has one."""
+    L = -math.log(x)
+    return max(math.ceil(2 / (1 - x)), math.ceil(2 * math.log(16 / (math.e * L * (1 - x) * TOLERANCE)) / L))
+
+
+def area_bound(r: float, beta: float) -> mpmath.mpf:
+    """area_majorant's error: truncation TOLERANCE, scaled by 1 + gamma_{n+12}
+    for the tail test's roundings and its x^{n+1} at the rounded x = r r,
+    plus rounding.  x^j is within theta_{2j-1}, (s j + beta)^2 within
+    theta_{2j+1}, and j x^j / (s j + beta)^2 adds two; n - 2 sums and the
+    sum with x add n - 1: gamma_{5n+1} times the sum."""
     x = r * r
-    if x == 0.0:
-        return 0.0
-    s = 1.0 - b
-    log_inv_x = -math.log(x)
-    a = math.log(4.0 / (TOLERANCE * (1.0 - x)))
-    k = a / log_inv_x
-    n = max(math.ceil((a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0), 1)
-    while n <= MAX_TERMS and reference_area_tail(n, s, b, x) > TOLERANCE:
-        n += 1
-    if n > MAX_TERMS:
-        raise reference_too_long("area series", r)
-    while n > 1 and reference_area_tail(n - 1, s, b, x) <= TOLERANCE:
-        n -= 1
-    # term j is 4 j x^j / d^2 with d = s j + b, stepped from d = 1 at j = 1.
-    total, power, j, d = 0.0, x, 1.0, 1.0
-    for _ in range(n - 1):
-        power *= x
-        j += 1.0
-        d += s
-        total += j * power / (d * d)
-    return x + 4.0 * total
+    n = area_length(x) if x > 0.0 else 1
+    return TOLERANCE * (1 + gamma(n + 12)) + gamma(5 * n + 1) * true_area(r, beta)
 
 
-def reference_area_tail(n: int, s: float, b: float, x: float) -> float:
-    """Bound on the area series beyond its n-th term (x = r^2, s = 1 - beta)."""
-    # Ratio test: t_{k+1}/t_k <= x * (n+2)/(n+1) < q for every k > n.
-    q = x * (n + 1) / n
-    if q >= 1.0:
-        return math.inf
-    return 4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q)
+def head_bound(N: int, head) -> mpmath.mpf:
+    """hat_f's error on a head of that value: each term is within theta_7 and
+    at most N - 2 sums add N - 2; the terms left after the first one adding
+    would round away (at most u times the total) are smaller, N u (1 +
+    gamma_7) times the total at most.  In all gamma_{2N+6} times the head."""
+    return gamma(2 * N + 6) * head
 
 
-def reference_hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
-    """abeta.radii.hat_f with 1 - beta formed once per term."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r must lie in [0, 1), got {r}")
-    b = beta_value(beta)
-    if N <= 2:
-        return 0.0 if N == 1 else r
-    total = r
-    for n in range(2, N):
-        term = 2.0 / ((1.0 - b) * n + b) * r ** n  # extremal_coeff(n, b) * r ** n
-        if total + term == total:
-            break
-        total += term
-    return total
+@mpmath.workdps(34)
+def equation_bound(problem: RadiusProblem, r: float) -> mpmath.mpf:
+    """problem.equation's error at r: the bounds of its terms, then gamma_4
+    times the sum of their moduli for its four additions.
+    - The lead is r^{pm} with p m rounded, or f(r^m)^p with r^m rounded and
+      f within extremal_bound; pow is within an ulp, or underflows.
+    - F(w) of a monotone polynomial moves by F(A + e) - F(A) for |w - A| <= e,
+      and its k Horner steps by gamma_{2k} F (Higham, section 5.1).
+    - extremal_at_minus_one omits less than 1e-17 of its series, and fewer
+      than 32 roundings reach any of its terms, whose moduli sum to at most
+      1 + 2 (1 + f(-1)): its tail's asymptotic terms are below 1.3% of t."""
+    beta, p, mp = problem.beta.value, problem.p, mpmath.mpf
+    if problem.variant is Variant.BOHR_SCHWARZ:
+        exponent = mp(p) * problem.m
+        lead, lo, hi = (mp(r) ** (exponent * k) for k in (1, 1 + U, 1 - U))
+    else:
+        x = r**problem.m
+        base, err = true_f(x, beta), extremal_bound(x, beta)
+        lead = true_f(mp(r) ** problem.m, beta) ** p
+        lo, hi = max(base - err, 0) ** p, (base + err) ** p
+    lo, hi = lo * (1 - 2 * U) - 2.0**-1074, hi * (1 + 2 * U)
+    f_r, level = true_f(r, beta), -true_f_minus_one(beta)
+    bound = max(hi - lead, lead - lo) + extremal_bound(r, beta)
+    bound += head_bound(problem.start, f_r - true_tail(problem.start, beta, r)) if problem.start > 2 else 0
+    area = 0
+    if any(problem.F.lambdas):
+        w, e = true_area(r, beta), area_bound(r, beta)
+        area = problem.F(w + e)
+        bound += area - problem.F(w) + gamma(2 * len(problem.F.lambdas)) * area
+    bound += 1e-17 + gamma(32) * (3 - 2 * level)
+    return bound + gamma(4) * (hi + 2 * f_r + area + level + bound)
 
 
-def reference_lead(self: RadiusProblem, r: float) -> float:
-    """RadiusProblem.lead over reference_eval_extremal."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    if self.variant is Variant.BOHR_SCHWARZ:
-        return r ** (self.p * self.m)
-    try:
-        return reference_eval_extremal(r ** self.m, self.beta) ** self.p
-    except OverflowError:  # a float power beyond the largest double
-        return math.inf
-
-
-def reference_equation(self: RadiusProblem, r: float) -> float:
-    """RadiusProblem.equation with f(r) evaluated apart from the lead and
-    hat_f called at every start."""
-    beta = self.beta
-    lead = reference_lead(self, r)
-    # F == 0 skips the area bound, whose F value is 0 anyway.
-    area = 0.0 if self.F.is_zero else self.F(reference_area_majorant(r, beta))
-    return (
-        lead + reference_eval_extremal(r, beta) - reference_hat_f(self.start, beta, r)
-        + area - self.level
-    )
-
-
-def reference_solve_radius(problem: RadiusProblem, tol: float = DEFAULT_TOL) -> RootResult:
-    """abeta.radii.solve_radius with its probes behind one closure and its
-    clamps, bracket ends and step length taken by min, max and abs."""
-    if not _MIN_TOL <= tol <= _MAX_TOL:
-        raise ValueError(f"tol: must lie in [{_MIN_TOL:g}, {_MAX_TOL:g}], got {tol}")
-    eq = problem.equation
-    evaluations = 0
-
-    def value(r: float, inf_ok: bool = False) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        y = eq(r)
-        if not (math.isfinite(y) or (inf_ok and y == math.inf)):
-            raise BracketError(f"equation value at r = {r!r} is {y}, not finite")
-        return y
-
-    low = min(tol, 1e-6)
-    lo, flo = 0.0, -problem.level
-    hi = problem.level ** (1.0 / (problem.p * problem.m))
-    if hi <= 1e-6:
-        lo, hi = low, hi if hi > low else 0.5
-        flo = value(lo)
-        if flo >= 0.0:
-            raise BracketError(
-                f"equation is nonnegative at r = {lo!r} (tol = {tol!r}): "
-                "no root the solver can resolve"
-            )
-
-    hi = min(hi, 0.5)
-    fhi = value(hi, inf_ok=True)
-    while fhi <= 0.0:
-        if hi >= _UPPER_CAP:
-            raise BracketError(
-                f"no sign change found below {_UPPER_CAP}; equation stuck at {fhi}"
-            )
-        if fhi < 0.0:
-            lo, flo = hi, fhi
-        hi = min(1.0 - 0.5 * (1.0 - hi), _UPPER_CAP)
-        fhi = value(hi, inf_ok=True)
-    while fhi == math.inf:
-        if hi - lo <= tol:
-            raise BracketError(f"equation is +inf down to r = {hi!r}: no finite bracket")
-        x = 0.5 * (lo + hi)
-        fx = value(x, inf_ok=True)
-        if fx < 0.0:
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-
-    # Chandrupatla's hybrid (Adv. Eng. Software 28(3), 1997): a is the
-    # latest point, b the other end of the bracket and c the point a or b
-    # replaced.  Each step goes a fraction t of the way from a to b: the
-    # secant through a and b first, then the inverse quadratic through a, b
-    # and c where his test finds it monotone, else t = 1/2.  Clamping t to
-    # [tl, 1 - tl] keeps each step tol/2 inside the bracket, so once a is
-    # within tol/2 of the root the next step crosses it and the bracket
-    # closes.  A bisection step is forced after SAFEGUARD_STEPS - 1 steps
-    # that have not halved the bracket, so a run takes at most
-    # SAFEGUARD_STEPS * ceil(log2(width / tol)) steps after bracketing.
-    inset = 0.25 * tol
-    a, fa, b, fb = hi, fhi, lo, flo
-    t = fa / (fa - fb)
-    halved_at, stalled = hi - lo, 0
-    while True:
-        if fa == 0.0:  # an exact zero, from a bisection or a step
-            lo, hi = a - inset, a + inset
-            flo, fhi = value(lo), value(hi)
-            if not flo < 0.0 < fhi:
-                raise BracketError(
-                    f"no sign change around the exact zero at r = {a!r}: "
-                    f"values {flo} and {fhi}"
-                )
-            break
-        lo, hi = min(a, b), max(a, b)
-        if hi - lo <= tol:
-            break
-        if t == 0.5:
-            x = 0.5 * (lo + hi)
-        else:
-            tl = 0.5 * tol / (hi - lo)
-            x = a + min(max(t, tl), 1.0 - tl) * (b - a)
-        x = min(max(x, lo + inset), hi - inset)
-        fx = value(x)
-        if (fx < 0.0) == (fa < 0.0):
-            c, fc = a, fa
-        else:
-            c, fc = b, fb
-            b, fb = a, fa
-        a, fa = x, fx
-        if abs(b - a) <= 0.5 * halved_at:
-            halved_at, stalled = abs(b - a), 0
-        else:
-            stalled += 1
-        # fc has the sign of fa, so every denominator below is nonzero
-        # once the test passes (it fails for fc == fa).
-        xi = (a - b) / (c - b)
-        phi = (fa - fb) / (fc - fb)
-        t = 0.5
-        if stalled < SAFEGUARD_STEPS - 1 and phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
-            t = fa / (fb - fa) * fc / (fb - fc) + (
-                (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
-            )
-
-    if lo < low:
-        flo = value(low)
-        if flo >= 0.0 or hi <= low:
-            raise BracketError(
-                f"equation is nonnegative at r = {low if flo >= 0.0 else hi!r} "
-                f"(tol = {tol!r}): no root the solver can resolve"
-            )
-        lo = low
-
-    iterations = evaluations
-    root = 0.5 * (lo + hi)
-    return RootResult(
-        root=root,
-        bracket=(lo, hi),
-        residual=value(root),
-        iterations=iterations,
-    )
+def bisect_oracle(fn: Callable[[float], float], lo: float = 1e-12, hi: float = 0.999999) -> float:
+    """Root of fn by 200 plain bisection steps, independent of the library solver."""
+    assert fn(lo) < 0 < fn(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fn(mid) < 0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def monotone_spot_check(F: Callable[[float], float], grid_points: int = 32) -> bool:

@@ -40,40 +40,18 @@ from abeta.verify import (
     falsification_sweep,
 )
 from oracles import (
+    bisect_oracle,
     inverse_log_diff_bounds_via_psi,
     log_diff_bounds_via_psi,
     ma_minda_bound,
     series_div,
+    true_f,
 )
 
 
 def _report(name: str, ok: bool) -> None:
     print(f"ACCEPTANCE {name}: {'PASS' if ok else 'FAIL'}")
     assert ok
-
-
-def hyp2f1_series(a: float, b: float, c: float, z: float, terms: int = 4000) -> float:
-    """Plain partial-sum evaluation of the Gauss hypergeometric series."""
-    total = 1.0
-    term = 1.0
-    for n in range(terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) < 1e-16 * abs(total):
-            break
-    return total
-
-
-def bisect_oracle(fn, lo=1e-12, hi=0.999, iters=200):
-    flo = fn(lo)
-    assert flo < 0 < fn(hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def test_criterion_1_beta0_closed_forms():
@@ -94,12 +72,8 @@ def test_criterion_2_hypergeometric_equivalence():
     assert len(pairs) == 12
     ok = True
     for beta, r in pairs:
-        expected = r * (
-            -1.0
-            + 2.0
-            * hyp2f1_series(1.0, 1.0 / (1 - beta), (2 - beta) / (1 - beta), r)
-        )
-        ok &= abs(eval_extremal(r, beta) - expected) <= 1e-9
+        # r (-1 + 2 2F1(1, 1/(1-beta); (2-beta)/(1-beta); r)), in closed form.
+        ok &= abs(eval_extremal(r, beta) - true_f(r, beta)) <= 1e-9
     _report("2 hypergeometric representation equivalence", ok)
 
 

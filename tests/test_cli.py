@@ -378,6 +378,15 @@ class TestSweepCommand:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {flag}:")
 
+    def test_rejects_a_grid_product_above_the_cap_before_solving(self):
+        # 900 x 999999 cells once started 9e8 solves, their rows piling up in
+        # memory; a fresh process shows a hang.
+        proc = run_process("sweep", "--beta-grid", "0:0.9:0.001", "--m", "1:1000000:1")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: --beta-grid x --m x --p x --N x --variant: 899999100 cells, more than 1000000\n"
+        )
+
     def test_rejects_tol_wider_than_max(self, capsys):
         code, out, err = run(capsys, "sweep", "--beta-grid", "0.1", "--tol", "inf")
         assert code == 1 and out == ""

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +16,8 @@ from abeta.extremal import (
     extremal_coeff,
     growth_envelope,
 )
-from oracles import boundary_series_euler, reference_area_majorant, reference_eval_extremal
+from oracles import boundary_series_euler, true_area, true_f, true_f_minus_one
+from test_equation_bits import BETAS, MODULI, check_area_majorant, check_eval_extremal
 
 
 def f_tilde_beta0(r: float) -> float:
@@ -63,10 +63,7 @@ class TestEvalExtremal:
     @pytest.mark.parametrize("r", [0.3, -0.3, 0.6, -0.6])
     def test_hypergeometric_representation(self, beta, r):
         # r * (-1 + 2 * 2F1(1, 1/(1-b); (2-b)/(1-b); r)) is the same function.
-        with mpmath.workdps(30):
-            hyp = mpmath.hyp2f1(1, 1 / (1 - beta), (2 - beta) / (1 - beta), r)
-            expected = float(r * (-1 + 2 * hyp))
-        assert eval_extremal(r, beta) == pytest.approx(expected, abs=1e-9)
+        assert eval_extremal(r, beta) == pytest.approx(float(true_f(r, beta)), abs=1e-9)
 
     def test_truncation_certificate(self):
         # The certified series (tail below 1e-12) against closed forms,
@@ -161,7 +158,7 @@ class TestAreaMajorant:
 
 
 class TestAccuracyOracles:
-    """Each evaluator against a 50-digit mpmath reference of the same quantity."""
+    """Each evaluator against the 34-digit closed forms in tests/oracles.py."""
 
     RADII = (0.05, -0.05, 0.28, -0.28, 0.5, -0.5, 0.9, -0.9, 0.99)
 
@@ -169,57 +166,30 @@ class TestAccuracyOracles:
         "beta", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999]
     )
     def test_boundary_value(self, beta):
-        # f(-1) = -1 + (2/s) sum_{n>=2} (-1)^n / (n + beta/s), s = 1 - beta.
-        with mpmath.workdps(50):
-            s = 1 - mpmath.mpf(beta)
-            c = mpmath.mpf(beta) / s
-            series = mpmath.nsum(lambda n: (-1) ** n / (n + c), [2, mpmath.inf])
-            expected = -1 + 2 / s * series
-            assert abs(extremal_at_minus_one(beta) - expected) < 2e-15
+        assert abs(extremal_at_minus_one(beta) - true_f_minus_one(beta)) < 2e-15
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
     @pytest.mark.parametrize("r", RADII)
     def test_extremal_value(self, beta, r):
-        with mpmath.workdps(50):
-            b = mpmath.mpf(beta)
-            expected = r * (-1 + 2 * mpmath.hyp2f1(1, 1 / (1 - b), (2 - b) / (1 - b), r))
-            assert abs(eval_extremal(r, beta) - expected) <= TOLERANCE + 1e-15
-
-    @staticmethod
-    def area_oracle(beta, r):
-        # Summed until a term is below 1e-40; the terms then decrease at
-        # least geometrically, so the rest is far below the tolerance.
-        with mpmath.workdps(50):
-            b, x = mpmath.mpf(beta), mpmath.mpf(r) ** 2
-            expected, n, term = x, 2, 1
-            while term > 1e-40:
-                term = 4 * n / ((1 - b) * n + b) ** 2 * x**n
-                expected += term
-                n += 1
-            return expected
+        assert abs(eval_extremal(r, beta) - true_f(r, beta)) <= TOLERANCE + 1e-15
 
     @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
     @pytest.mark.parametrize("r", [r for r in RADII if r >= 0])
     def test_area_majorant(self, beta, r):
-        with mpmath.workdps(50):
-            assert abs(area_majorant(r, beta) - self.area_oracle(beta, r)) <= TOLERANCE + 1e-15
+        assert abs(area_majorant(r, beta) - true_area(r, beta)) <= TOLERANCE + 1e-15
 
     @pytest.mark.parametrize("beta", [0.9, 0.95])
     @pytest.mark.parametrize("r", [0.9, 0.95])
     def test_area_majorant_at_the_solver_corner(self, beta, r):
-        # Truncation and rounding together; the rounding alone outgrows
-        # TOLERANCE only closer to beta, r = 1 (see the docstring).
-        with mpmath.workdps(50):
-            assert abs(area_majorant(r, beta) - self.area_oracle(beta, r)) <= TOLERANCE + 1e-15
+        # Truncation and rounding together, far inside oracles.area_bound:
+        # the rounding outgrows TOLERANCE only closer to beta, r = 1.
+        assert abs(area_majorant(r, beta) - true_area(r, beta)) <= TOLERANCE + 1e-15
 
     def test_error_is_small_next_to_tiny_values(self):
         # f(r^m)^p with p < 1 magnifies the error of f at tiny arguments, so
         # the tail is held below TOLERANCE * |r|, not TOLERANCE alone.
         for r in (1.4e-7, -1.4e-7, 1e-3):
-            with mpmath.workdps(50):
-                b = mpmath.mpf(0.3)
-                expected = r * (-1 + 2 * mpmath.hyp2f1(1, 1 / (1 - b), (2 - b) / (1 - b), r))
-                assert abs(eval_extremal(r, 0.3) - expected) <= TOLERANCE * abs(r) + 1e-22
+            assert abs(eval_extremal(r, 0.3) - true_f(r, 0.3)) <= TOLERANCE * abs(r) + 1e-22
 
 
 class TestGrowthEnvelope:
@@ -241,49 +211,28 @@ class TestGrowthEnvelope:
         assert 0.0 < lower <= upper
 
 
-def outcome(evaluate, *args) -> str:
-    """The result's bits, or the ConvergenceError it raised."""
-    try:
-        return evaluate(*args).hex()
-    except ConvergenceError as exc:
-        return repr(exc)
-
-
-# |r| in (0, 1) at every scale: zero, subnormal, ordinary, series thousands
-# of terms long (near 1), and past the MAX_TERMS cap (nearer still).
-MODULI = st.one_of(
-    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.9999, 1.0 - 1e-6, 1.0 - 2**-53]),
-    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    st.floats(min_value=0.99, max_value=0.999),
-)
-BETAS = st.one_of(
-    st.sampled_from([0.0, 0.5, 1.0 - 2**-53]),
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-)
-
-
 class TestSeriesSizing:
-    """The inlined sizing gives the bits of the reference evaluators in
-    tests/oracles.py, which size their series with the old up-then-down walk.
+    """Each series is long enough to meet its stated error bound against the
+    closed-form truth, and refused only where it could pass MAX_TERMS."""
 
-    The explicit examples step down from the estimate to the least n,
-    which few random draws do."""
-
+    # The examples step down from the series-length estimate to the least n,
+    # which few random draws do.
     @given(q=MODULI, negative=st.booleans(), beta=BETAS)
     @settings(max_examples=300, deadline=None)
-    @example(q=1.061e-06, negative=False, beta=0.06)
+    @example(q=1.061e-06, negative=False, beta=0.06)  # the estimate is one above the least n
     @example(q=0.0001184, negative=True, beta=0.08)
+    @example(q=0.999, negative=True, beta=1.0)
     def test_eval_extremal(self, q, negative, beta):
-        r = -q if negative else q
-        assert outcome(eval_extremal, r, beta) == outcome(reference_eval_extremal, r, beta)
+        check_eval_extremal(-q if negative else q, beta)
 
-    @given(r=MODULI, beta=st.one_of(BETAS, st.just(1.0)))
+    @given(r=MODULI, beta=BETAS)
     @settings(max_examples=300, deadline=None)
+    @example(r=1e-160, beta=0.0)  # the estimate's ceiling is 0
     @example(r=0.9608, beta=0.98)
     @example(r=0.9081, beta=0.98)
+    @example(r=0.999, beta=1.0)
     def test_area_majorant(self, r, beta):
-        assert outcome(area_majorant, r, beta) == outcome(reference_area_majorant, r, beta)
+        check_area_majorant(r, beta)
 
 
 class TestConfigValidation:

@@ -1,5 +1,4 @@
 import contextlib
-import importlib.util
 import io
 import itertools
 import json
@@ -35,22 +34,11 @@ from abeta.radii import (
     hat_f,
     solve_radius,
 )
-from oracles import hat_f_by_ulp, monotone_spot_check, reference_equation
+from oracles import bisect_oracle, hat_f_by_ulp, monotone_spot_check
+from test_cli import load_bench_workloads
+from test_equation_bits import Watched, check_equation, custom
 
 F_MINUS_ONE_B0 = 1.0 - 2.0 * math.log(2.0)
-
-
-def bisect_oracle(fn, lo=1e-12, hi=0.999999, iters=200):
-    """Plain 200-iteration bisection, independent of the library solver."""
-    flo = fn(lo)
-    assert flo < 0 < fn(hi)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def baseline_equation_beta0(m):
@@ -215,8 +203,8 @@ AREA_POLYNOMIALS = [
 
 
 class TestEquationConstants:
-    """Per-problem constants are computed once; the values keep the bits of
-    oracles.reference_equation."""
+    """Per-problem constants are computed once; the values lie within the
+    equation's error bound of the closed-form truth."""
 
     RADII = np.linspace(0.01, 0.95, 20).tolist()
 
@@ -235,7 +223,7 @@ class TestEquationConstants:
         ]
         for prob in probs:
             for r in self.RADII:
-                assert prob.equation(r).hex() == reference_equation(prob, r).hex(), (prob, r)
+                check_equation(prob, r)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_start_and_level(self, variant):
@@ -372,31 +360,19 @@ class TestSolveRadius:
             solve_radius(problem(beta=0.5, m=3, p=0.01), tol)
 
     def test_non_finite_equation_value_raises(self):
-        class NotFinite(RadiusProblem):
-            def equation(self, r):
-                return math.nan
-
         with pytest.raises(BracketError, match="not finite"):
-            solve_radius(NotFinite(Variant.BOHR_SCHWARZ, BetaParam(0.0)))
+            solve_radius(custom(lambda r: math.nan))
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_value_at_a_probe_raises(self, bad):
         # Only +inf is bisected past; the bracket's lo end is finite.
-        class NotFinite(RadiusProblem):
-            def equation(self, r):
-                return -1.0 if r < 0.1 else bad
-
         with pytest.raises(BracketError, match="not finite"):
-            solve_radius(NotFinite(Variant.BOHR_SCHWARZ, BetaParam(0.0)))
+            solve_radius(custom(lambda r: -1.0 if r < 0.1 else bad))
 
     def test_inf_inside_the_bracket_raises(self):
         # Finite at both probes, +inf where the first secant step lands.
-        class Pole(RadiusProblem):
-            def equation(self, r):
-                return math.inf if 1e-3 < r < 0.3 else r * r - 0.1
-
         with pytest.raises(BracketError, match="is inf, not finite"):
-            solve_radius(Pole(Variant.BOHR_SCHWARZ, BetaParam(0.0)))
+            solve_radius(custom(lambda r: math.inf if 1e-3 < r < 0.3 else r * r - 0.1))
 
     @pytest.mark.parametrize(
         "beta, m, p, N, root, evaluations",
@@ -418,20 +394,12 @@ class TestSolveRadius:
     def test_exact_zero_at_a_bisection_midpoint(self):
         tol = 1e-6
         # +inf at the first probe, the beta = 0 lead bound -f(-1) = 0.386;
-        # the first midpoint, halfway from the analytic end 0, is the zero.
+        # the first midpoint, halfway from the analytic end 0, is the zero,
+        # and the exact-zero branch sets the bracket tol/4 either side.
         zero = 0.5 * (0.0 + problem().level)
-        seen = {}
-
-        class Step(RadiusProblem):
-            def equation(self, r):
-                seen[r] = math.inf if r > 0.3 else r - zero
-                return seen[r]
-
-        res = solve_radius(Step(Variant.BOHR_SCHWARZ, BetaParam(0.0)), tol)
-        assert seen[zero] == 0.0
-        lo, hi = res.bracket
-        assert seen[lo] < 0 < seen[hi] < math.inf
-        assert lo < res.root < hi and hi - lo <= tol
+        res = solve_radius(custom(lambda r: math.inf if r > 0.3 else r - zero), tol)
+        assert res.bracket == (zero - 0.25 * tol, zero + 0.25 * tol)
+        assert zero - 0.25 * tol < res.root < zero + 0.25 * tol
 
     def test_grid_iterations_and_certificates(self):
         # The acceptance-criterion-3 grid: beta 0-0.9, m 1-3, p 1-2, three F.
@@ -468,34 +436,20 @@ class TestSolveRadius:
         tol = 1e-6
         # The midpoint of the initial bracket (0, level) at beta = 0 and
         # p = m = 1: a line through (0, -level) meets it there, so the
-        # first secant step hits the zero exactly.
+        # first secant step hits the zero exactly; the bracket is then
+        # evaluated tol/4 either side.
         zero = 0.5 * problem().level
-        seen = {}
-
-        class Linear(RadiusProblem):
-            def equation(self, r):
-                seen[r] = 2.0 * (r - zero)
-                return seen[r]
-
-        res = solve_radius(Linear(Variant.BOHR_SCHWARZ, BetaParam(0.0)), tol)
-        assert seen[zero] == 0.0
-        lo, hi = res.bracket
-        assert seen[lo] < 0 < seen[hi]
-        assert lo < res.root < hi and hi - lo <= tol
+        Watched.calls = []
+        res = solve_radius(custom(lambda r: 2.0 * (r - zero)), tol)
+        assert res.bracket == (zero - 0.25 * tol, zero + 0.25 * tol)
+        assert Watched.calls[-4:] == [zero, *res.bracket, res.root]
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_iterations_count_equation_calls_before_the_residual(self, variant):
-        calls = []
-
-        class Counted(RadiusProblem):
-            def equation(self, r):
-                calls.append(r)
-                return super().equation(r)
-
-        prob = Counted(variant, BetaParam(0.4), m=2, p=1.5, N=3, F=AreaPolynomial((0.2,)))
-        res = solve_radius(prob)
-        assert res.iterations == len(calls) - 1
-        assert calls[-1] == res.root
+        Watched.calls = []
+        res = solve_radius(Watched(variant, BetaParam(0.4), m=2, p=1.5, N=3, F=AreaPolynomial((0.2,))))
+        assert res.iterations == len(Watched.calls) - 1
+        assert Watched.calls[-1] == res.root
 
 
 # Each runs in a fresh interpreter under a timeout, so a solver that stalls
@@ -525,15 +479,17 @@ print(json.dumps({"bracket": res.bracket, "root": res.root, "iterations": res.it
 """
 
 
+def solve_adversarial(expr, tol):
+    env = dict(os.environ, PYTHONPATH=str(Path(abeta.radii.__file__).parents[1]))
+    argv = [sys.executable, "-c", ADVERSARIAL_SOLVE, expr, repr(tol)]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-14])
 def test_adversarial_inf_above_a_jump_raises(tol):
     # Negative up to 1e-9 and +inf above: bisection narrows onto the jump
     # and stops with no finite value at hi.
-    env = dict(os.environ, PYTHONPATH=str(Path(abeta.radii.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", ADVERSARIAL_SOLVE, "-1.0 if r <= 1e-9 else inf", repr(tol)],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    done = solve_adversarial("-1.0 if r <= 1e-9 else inf", tol)
     assert done.returncode == 1 and done.stdout == ""
     assert "BracketError: equation is +inf down to r = " in done.stderr
 
@@ -542,11 +498,7 @@ def test_adversarial_inf_above_a_jump_raises(tol):
 @pytest.mark.parametrize("name", list(ADVERSARIAL_EQUATIONS))
 def test_adversarial_equation_within_the_worst_case(name, tol):
     expr = ADVERSARIAL_EQUATIONS[name]
-    env = dict(os.environ, PYTHONPATH=str(Path(abeta.radii.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", ADVERSARIAL_SOLVE, expr, repr(tol)],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    done = solve_adversarial(expr, tol)
     assert done.returncode == 0, done.stderr
     res = json.loads(done.stdout)
     fn = eval("lambda r: " + expr, vars(math))
@@ -570,13 +522,8 @@ def test_query_mix_evaluation_budget(monkeypatch):
     # The radius and rogosinski commands of the benchmark's query mix,
     # seed 1: the equations users pose, from tiny roots with p m < 1 to
     # roots near 1.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ untouched
-    path = Path(__file__).parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     iterations = []
-    for argv in workloads.query_mix(1):
+    for argv in load_bench_workloads(monkeypatch).query_mix(1):
         if argv[0] not in ("radius", "rogosinski"):
             continue
         out = io.StringIO()

@@ -21,7 +21,7 @@ from abeta.bounds import (
 from abeta.extremal import BetaParam, eval_extremal, extremal_at_minus_one, extremal_coeff
 from abeta.radii import ZERO_POLYNOMIAL, AreaPolynomial, RadiusProblem, Variant, solve_radius
 from abeta.verify import (
-    _BLOCK,
+    _BLOCK_ENTRIES,
     _TAIL,
     DEFAULT_ORDER,
     MAX_ATOMS,
@@ -165,8 +165,8 @@ class TestBlockSampler:
         atoms=st.integers(min_value=1, max_value=8),
         seed=st.integers(min_value=0, max_value=2**200)
         | st.lists(st.integers(min_value=0, max_value=2**200), min_size=1, max_size=3),
-        rows=st.integers(min_value=1, max_value=3 * _BLOCK),
-        split=st.integers(min_value=0, max_value=3 * _BLOCK),
+        rows=st.integers(min_value=1, max_value=3 * _BLOCK_ENTRIES),
+        split=st.integers(min_value=0, max_value=3 * _BLOCK_ENTRIES),
     )
     @settings(max_examples=30, deadline=None)
     def test_any_seed_list_matches_the_reference(self, atoms, seed, rows, split):
@@ -248,7 +248,7 @@ class TestBlockSampler:
             ([0.5], VerifyConfig(samples=150, atoms=300, seed=13)),
         ]
         expected = [falsification_sweep(beta_grid, config) for beta_grid, config in cases]
-        monkeypatch.setattr(abeta.verify, "_BLOCK", block)
+        monkeypatch.setattr(abeta.verify, "_BLOCK_ENTRIES", block)
         for (beta_grid, config), summary in zip(cases, expected):
             assert falsification_sweep(beta_grid, config) == summary, config
 
@@ -601,9 +601,9 @@ class TestSweepMatchesScalarOracle:
         _assert_matches_oracle([0.0, 0.5, 0.9], config)
 
     def test_crosses_a_block_boundary(self):
-        config = VerifyConfig(samples=_BLOCK + 1, seed=5)
-        summary = _assert_matches_oracle([0.5], config)
-        assert {rec.checks for rec in summary.records} == {_BLOCK + 1}
+        samples = _BLOCK_ENTRIES // VerifyConfig().atoms + 1
+        summary = _assert_matches_oracle([0.5], VerifyConfig(samples=samples, seed=5))
+        assert {rec.checks for rec in summary.records} == {samples}
 
     @pytest.mark.parametrize(
         "beta_grid, config",
@@ -661,9 +661,9 @@ class TestWitnesses:
 
     @pytest.mark.parametrize("atoms", [1, 7, 100])
     def test_rows_past_the_first_block_rebuild(self, atoms, monkeypatch):
-        # 150 samples in blocks of 64: witnesses fall in the second and
-        # third blocks too.
-        monkeypatch.setattr(abeta.verify, "_BLOCK", 64)
+        # 150 samples in blocks of 64 entries (64, 9 and 1 rows): witnesses
+        # fall past the first block too.
+        monkeypatch.setattr(abeta.verify, "_BLOCK_ENTRIES", 64)
         _assert_witnesses_rebuild([0.0, 0.5], VerifyConfig(samples=150, atoms=atoms, seed=5))
 
 
