@@ -172,9 +172,9 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
     Exactly 0 for N = 1, r for N = 2 (the Bohr start), and r +
     sum_{n=2}^{N-1} a_n r^n for N >= 3.  The terms decrease, so the sum
     stops at the first term that adding would round away: every later
-    term would be rounded away too.  With the rounding of the terms kept,
-    the error is at most gamma_{2N+6} times the sum (gamma_k as in
-    eval_extremal).
+    term would be rounded away too.  With the terms' rounding and those
+    left out, the error is at most gamma_{2N+6} times the sum (gamma_k as
+    in eval_extremal).
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
