@@ -139,7 +139,14 @@ def custom(fn):
     return Custom(Variant.BOHR_SCHWARZ, BetaParam(0.0))
 
 
-_ZERO = 0.5 * custom(None).level  # the midpoint of the first bracket (0, level)
+# Zero at the midpoint of the first bracket (0, level), where the first
+# bisection lands exactly above a pole, and where the first secant step
+# lands exactly on a line through (0, -level), the analytic end.
+_ZERO = 0.5 * custom(None).level
+CUSTOM_ROOTS = {
+    "linear-exact-zero": lambda r: 2.0 * (r - _ZERO),
+    "pole-then-exact-zero": lambda r: math.inf if r > 0.3 else r - _ZERO,
+}
 # Each equation, and the BracketError message at tol 1e-10 and at 1e-6; the
 # first probe is level = 0.386...
 _NOT_FINITE = "equation value at r = {} is {}, not finite".format
@@ -189,7 +196,27 @@ def beta_error(beta):
     return BetaDomainError, f"beta must lie in [0, 1], got {value!r}"
 
 
-class TestTruth:
+class TestSameBits:
+    """The evaluators and the solver against the closed-form truth, within
+    their stated error bounds; the class name is kept so the test ids stay
+    the same."""
+
+    @given(q=MODULI, negative=st.booleans(), beta=BETAS)
+    @settings(max_examples=200, deadline=None)
+    @example(q=1.061e-06, negative=False, beta=0.06)  # the estimate is one above the least n
+    @example(q=0.0001184, negative=True, beta=0.08)
+    @example(q=0.999, negative=True, beta=1.0)
+    def test_eval_extremal(self, q, negative, beta):
+        check_eval_extremal(-q if negative else q, beta)
+
+    @given(r=MODULI, beta=BETAS)
+    @settings(max_examples=200, deadline=None)
+    @example(r=1e-160, beta=0.0)  # the estimate's ceiling is 0
+    @example(r=0.9608, beta=0.98)
+    @example(r=0.999, beta=1.0)
+    def test_area_majorant(self, r, beta):
+        check_area_majorant(r, beta)
+
     @given(N=STARTS, beta=BETAS, r=MODULI)
     @settings(max_examples=200, deadline=None)
     def test_hat_f(self, N, beta, r):
@@ -261,6 +288,15 @@ class TestTruth:
         # The majorant is at least r^{pm}, so its root is at most the first
         # probe's level^{1/(pm)}.
         assert res.root <= problem.level ** (1 / (p * m)) + tol
+
+    @pytest.mark.parametrize("name", list(CUSTOM_ROOTS))
+    def test_solve_radius_on_an_exact_zero(self, name):
+        fn = CUSTOM_ROOTS[name]
+        res = solve_radius(custom(fn), 1e-6)
+        # The bracket the exact-zero branch sets, tol/4 either side.
+        assert res.bracket == (_ZERO - 0.25e-6, _ZERO + 0.25e-6)
+        lo, hi = res.bracket
+        assert fn(lo) < 0.0 < fn(hi) < math.inf and lo < res.root < hi
 
 
 class TestSameErrors:
