@@ -91,6 +91,19 @@ def beta_value(beta: "BetaParam | float", strict: bool = False) -> float:
 TOLERANCE = 1e-12
 MAX_TERMS = 4_000_000
 
+# Each series stops at the least n whose tail bound, as _f_tail_meets and
+# _area_tail_meets evaluate it with pow, is <= TOLERANCE; that bound falls by a
+# factor below 1 - 6e-6 a term wherever a series fits MAX_TERMS.  Its loop
+# tests the bound on its running power and denominator, within 2e-9 of the pow
+# test for n <= MAX_TERMS (n - 1 products and n sums): it goes on while that
+# test fails widened by _WIDE, stops where it passes narrowed by _NARROW, and
+# lets the pow test decide in between.
+_WIDE, _NARROW = 1.0 + 2.0**-27, (1.0 - 2.0**-27) / (1.0 + 2.0**-27)
+# At n = MAX_TERMS the bounds are largest at beta = 1, where s (n+1) + beta =
+# 1, and grow with q = |r| and x = r^2, to TOLERANCE at q = 0.9999900398 and
+# x = 0.9999861441: the cap binds only above these.
+_F_CAP_ABOVE, _AREA_CAP_ABOVE = 0.99999, 0.999986
+
 
 def extremal_coeff(n: int, beta: "BetaParam | float") -> float:
     """n-th Taylor coefficient of the extremal function.
@@ -113,6 +126,17 @@ def _too_long(series: str, r: float) -> ConvergenceError:
     )
 
 
+def _f_tail_meets(q: float, s: float, b: float, n: int) -> bool:
+    """a_{n+1} q^n / (1 - q) <= TOLERANCE: f's tail past n terms at |r| = q."""
+    return 2.0 / (s * (n + 1) + b) * q**n / (1.0 - q) <= TOLERANCE
+
+
+def _area_tail_meets(x: float, s: float, b: float, n: int) -> bool:
+    """t_{n+1} / (1 - x (n+1)/n) <= TOLERANCE: the area series' tail past n terms."""
+    return (q := x * (n + 1) / n) < 1.0 and (
+        4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q) <= TOLERANCE)
+
+
 def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     """Value of the extremal function at real r, |r| < 1.
 
@@ -121,9 +145,11 @@ def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     because the coefficients are non-increasing in n.  The error is thus
     small next to f(r) ~ r as well: the radius equations raise f(r^m) to
     powers p < 1, which would magnify a merely absolute error at tiny r^m.
-    With rounding it is at most (1 + gamma_8) TOLERANCE |r| + gamma_{3n} f(|r|),
-    gamma_k = k u / (1 - k u) with u = 2^-53 (Higham, Accuracy and Stability
-    of Numerical Algorithms, sections 3.1 and 4.2).
+    The stop is the bound's as pow evaluates it, in seven roundings and pow's
+    two (the running power's gamma_{n-1} decides only where it agrees), so
+    with rounding the error is at most (1 + gamma_9) TOLERANCE |r| + gamma_{3n}
+    f(|r|), gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, sections 3.1 and 4.2).
     """
     q = abs(r)
     if not q < 1.0:
@@ -131,30 +157,18 @@ def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     b = beta.value if beta.__class__ is BetaParam else beta_value(beta)
     if q == 0.0:
         return 0.0
-    s, w = 1.0 - b, 1.0 - q
-    # a_{n+1} q^n = 2 q^n / (s (n+1) + b) meets TOLERANCE (1 - q) near
-    # n log(1/q) + log(s n + b) = a; one fixed-point step from n = a / log(1/q)
-    # lands a term or two from the least n >= 1 whose tail bound a_{n+1} q^n /
-    # (1 - q) is <= TOLERANCE (the step is >= 1, as 2 / TOLERANCE > a), and n
-    # walks one way from one test there.  The sum then tests nothing per term.
-    log_inv_q = -math.log(q)
-    a = math.log(2.0 / (TOLERANCE * w))
-    n = math.ceil((a - math.log(s * a / log_inv_q + b)) / log_inv_q)
-    if n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / w <= TOLERANCE:
-        while n > 1 and 2.0 / (s * n + b) * q ** (n - 1) / w <= TOLERANCE:
-            n -= 1
-    else:
-        n += 1
-        while n <= MAX_TERMS and 2.0 / (s * (n + 1) + b) * q**n / w > TOLERANCE:
-            n += 1
-        if n > MAX_TERMS:
-            raise _too_long("extremal series", r)
-    # term n is 2 r^n / d with d = s n + b, stepped from d = 1 at n = 1.
-    total, power, d = 0.0, r, 1.0
-    for _ in range(n - 1):
+    s = 1.0 - b
+    if q > _F_CAP_ABOVE and not _f_tail_meets(q, s, b, MAX_TERMS):
+        raise _too_long("extremal series", r)
+    # term n + 1 is 2 r^(n+1) / d, d = s (n+1) + b stepped from 1 + s at n = 1,
+    # added while |r^n| > TOLERANCE (1 - q) d / 2; n = log|r^n| / log q.
+    wide = 0.5 * TOLERANCE * _WIDE * (1.0 - q)
+    total, power, d = 0.0, r, 1.0 + s
+    while (lim := wide * d) < power or power < -lim or abs(power) > _NARROW * lim and not (
+            _f_tail_meets(q, s, b, round(math.log(abs(power)) / math.log(q)))):
         power *= r
-        d += s
         total += power / d
+        d += s
     return r + 2.0 * total
 
 
@@ -203,6 +217,8 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     certified absolute truncation error <= TOLERANCE.  Permits
     beta = 1 (the terms 4n r^{2n} still converge for r < 1).
 
+    The sum stops before the first term t_{n+1} whose ratio-test tail bound
+    t_{n+1} / (1 - x (n+1)/n), x = r^2, is <= TOLERANCE as pow evaluates it.
     With rounding, the error of n terms summing to A is at most
     (1 + gamma_{n+12}) TOLERANCE + gamma_{5n+1} A (gamma_k as in
     eval_extremal).  Near beta, r -> 1 the series is thousands of terms
@@ -215,35 +231,20 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     x = r * r
     if x == 0.0:
         return 0.0
-    s = 1.0 - b
-
-    # t_k = 4 k x^k / (s k + b)^2 meets TOLERANCE (1 - x) where k log(1/x) =
-    # a + log(k / (s k + b)^2); one fixed-point step from k = a / log(1/x), above
-    # -1, then as in eval_extremal.  The tail bound beyond n is t_{n+1} / (1 - q),
-    # +inf for q = x (n+1)/n >= 1 (ratio test: t_{k+1}/t_k < q for every k > n).
-    log_inv_x = -math.log(x)
-    a = math.log(4.0 / (TOLERANCE * (1.0 - x)))
-    k = a / log_inv_x
-    n = math.ceil((a + math.log(k / (s * k + b) ** 2)) / log_inv_x - 1.0) or 1
-    if n <= MAX_TERMS and (q := x * (n + 1) / n) < 1.0 and (
-            4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q) <= TOLERANCE):
-        while n > 1 and (q := x * n / (n - 1)) < 1.0 and (
-                4.0 * n / (s * n + b) ** 2 * x**n / (1.0 - q) <= TOLERANCE):
-            n -= 1
-    else:
-        n += 1
-        while n <= MAX_TERMS and ((q := x * (n + 1) / n) >= 1.0 or (
-                4.0 * (n + 1) / (s * (n + 1) + b) ** 2 * x ** (n + 1) / (1.0 - q) > TOLERANCE)):
-            n += 1
-        if n > MAX_TERMS:
-            raise _too_long("area series", r)
-    # term j is 4 j x^j / d^2 with d = s j + b, stepped from d = 1 at j = 1.
-    total, power, j, d = 0.0, x, 1.0, 1.0
-    for _ in range(n - 1):
+    s, w = 1.0 - b, 1.0 - x
+    if x > _AREA_CAP_ABOVE and not _area_tail_meets(x, s, b, MAX_TERMS):
+        raise _too_long("area series", r)
+    # term j = n + 1, t_j = 4 j x^j / d^2 with d = s j + b stepped from 1 + s, is
+    # added while t_j (j - 1) > TOLERANCE (j w - 1) / 4, surely if 4 t_j > TOLERANCE w.
+    wide = 0.25 * TOLERANCE * _WIDE
+    first = wide * w
+    total, power, j, d = 0.0, x * x, 2.0, 1.0 + s
+    while (t := j * power / (d * d)) > first or t * (j - 1.0) > (lim := wide * (j * w - 1.0)) or (
+            t * (j - 1.0) > _NARROW * lim and not _area_tail_meets(x, s, b, int(j) - 1)):
+        total += t
         power *= x
         j += 1.0
         d += s
-        total += j * power / (d * d)
     return x + 4.0 * total
 
 

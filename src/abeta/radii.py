@@ -184,11 +184,10 @@ def hat_f(N: int, beta: "BetaParam | float", r: float) -> float:
     if N <= 2:
         return 0.0 if N == 1 else r
     s, total = 1.0 - b, r
-    for n in range(2, N):
-        term = 2.0 / (s * n + b) * r ** n  # extremal_coeff(n, b) * r ** n
-        if total + term == total:
+    for n in range(2, N):  # term n is extremal_coeff(n, b) * r ** n
+        if (new := total + 2.0 / (s * n + b) * r ** n) == total:
             break
-        total += term
+        total = new
     return total
 
 

@@ -56,8 +56,9 @@ ROGOSINSKI_N = 2
 # --atoms 10000 --samples 1024` peaks at about 36 MB RSS (x86-64, numpy 2.4).
 MAX_ATOMS = 10_000
 
-# Most samples per beta: at about 2.4 us each, 10^7 take about half a minute.
-MAX_SAMPLES = 10**7
+# Most samples, and samples x atoms, per beta: at about 2 us plus 0.1 us an
+# atom a sample (2-core Xeon, numpy 2.4), a beta takes at most half a minute.
+MAX_SAMPLES, MAX_SAMPLE_ATOMS = 10**7, 4 * 10**7
 
 # Entries (rows x atoms) of the samples the sweep checks together, in blocks
 # of max(1, _BLOCK_ENTRIES // atoms) rows.  No output depends on it, since
@@ -382,6 +383,8 @@ class VerifyConfig:
             raise ValueError(f"atoms: must be >= 1, got {self.atoms}")
         if self.atoms > MAX_ATOMS:
             raise ValueError(f"atoms: must be <= {MAX_ATOMS}, got {self.atoms}")
+        if self.samples > (cap := MAX_SAMPLE_ATOMS // self.atoms):
+            raise ValueError(f"samples: must be <= {cap} at {self.atoms} atoms, got {self.samples}")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0, got {self.seed}")
         # A nan slack passes nothing and an infinite one everything.

@@ -245,14 +245,15 @@ def extremal_length(q: float) -> int:
 
 
 def extremal_bound(r: float, beta: float) -> mpmath.mpf:
-    """eval_extremal's error: truncation TOLERANCE |r|, scaled by 1 + gamma_8
-    for the tail test's own roundings, plus rounding.  Term k of n, r^k
-    after k - 1 products over s k + beta after k - 1 sums and s, is within
-    theta_{2k}; n - 2 sums and the sum with r add n - 1: gamma_{3n} f(|r|)."""
+    """eval_extremal's error: truncation TOLERANCE |r|, scaled by 1 + gamma_9
+    for the tail test's own roundings (seven, s = 1 - beta's among them, and
+    pow's two), plus rounding.  Term k of n, r^k after k - 1 products over
+    s k + beta after k - 1 sums and s, is within theta_{2k}; n - 2 sums and
+    the sum with r add n - 1: gamma_{3n} f(|r|)."""
     q = abs(r)
     if q == 0.0:
         return mpmath.mpf(0)
-    return TOLERANCE * q * (1 + gamma(8)) + gamma(3 * extremal_length(q)) * true_f(q, beta)
+    return TOLERANCE * q * (1 + gamma(9)) + gamma(3 * extremal_length(q)) * true_f(q, beta)
 
 
 def area_length(x: float) -> int:

@@ -330,6 +330,12 @@ class TestVerifyCommand:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: --samples: must be <= 10000000, got 100000000000000000000\n"
 
+    def test_rejects_too_many_samples_for_the_atoms_without_sampling(self):
+        # 10^7 samples of 10^4 atoms would take hours; a fresh process shows a hang.
+        proc = run_process("verify", "--beta", "0.5", "--atoms", "10000", "--samples", "10000000")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: --samples: must be <= 4000 at 10000 atoms, got 10000000\n"
+
     def test_rejects_too_many_atoms_before_sampling(self, capsys, monkeypatch):
         # 10^13 atoms once failed in numpy's allocator with a traceback.
         from abeta.verify import MAX_ATOMS

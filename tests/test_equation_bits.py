@@ -153,8 +153,10 @@ _NOT_FINITE = "equation value at r = {} is {}, not finite".format
 _NONNEGATIVE = "equation is nonnegative at r = {} (tol = {}): no root the solver can resolve".format
 CUSTOM_ERRORS = {
     "nan": (lambda r: math.nan, [_NOT_FINITE(0.3862943611198907, "nan")] * 2),
+    # Only +inf is bisected past, so nan and -inf at a probe raise.
     "nan-above-0.1": (lambda r: -1.0 if r < 0.1 else math.nan, [_NOT_FINITE(0.3862943611198907, "nan")] * 2),
     "minus-inf-above-0.1": (lambda r: -1.0 if r < 0.1 else -math.inf, [_NOT_FINITE(0.3862943611198907, "-inf")] * 2),
+    # Finite at both probes, +inf where the first secant step lands.
     "pole-inside-the-bracket": (
         lambda r: math.inf if 1e-3 < r < 0.3 else r * r - 0.1, [_NOT_FINITE(0.15821854307250274, "inf")] * 2
     ),

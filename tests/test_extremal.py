@@ -6,10 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeta.extremal import (
+    _AREA_CAP_ABOVE,
+    _F_CAP_ABOVE,
+    MAX_TERMS,
     TOLERANCE,
     BetaDomainError,
     BetaParam,
     ConvergenceError,
+    _area_tail_meets,
+    _f_tail_meets,
     area_majorant,
     eval_extremal,
     extremal_at_minus_one,
@@ -17,7 +22,26 @@ from abeta.extremal import (
     growth_envelope,
 )
 from oracles import boundary_series_euler, true_area, true_f, true_f_minus_one
-from test_equation_bits import BETAS, MODULI, check_area_majorant, check_eval_extremal
+from test_equation_bits import BETAS, MODULI, check_area_majorant, check_eval_extremal, too_long
+
+
+def last_passing(passes, lo=0.0, hi=1.0):
+    """The largest double in [lo, hi) at which passes holds, for a test that
+    holds at lo, fails at hi and fails above any double at which it fails."""
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
+def term_jumps(evaluate, edge, steps=3):
+    """|evaluate(b) - evaluate(a)| for adjacent doubles a < b from `steps`
+    below edge to `steps` above it; the one from edge up is at index steps."""
+    points = [edge]
+    for _ in range(steps):
+        points = [math.nextafter(points[0], 0.0), *points, math.nextafter(points[-1], 1.0)]
+    values = [evaluate(x) for x in points]
+    return [abs(b - a) for a, b in zip(values, values[1:])]
 
 
 def f_tilde_beta0(r: float) -> float:
@@ -215,8 +239,6 @@ class TestSeriesSizing:
     """Each series is long enough to meet its stated error bound against the
     closed-form truth, and refused only where it could pass MAX_TERMS."""
 
-    # The examples step down from the series-length estimate to the least n,
-    # which few random draws do.
     @given(q=MODULI, negative=st.booleans(), beta=BETAS)
     @settings(max_examples=300, deadline=None)
     @example(q=1.061e-06, negative=False, beta=0.06)
@@ -230,6 +252,58 @@ class TestSeriesSizing:
     @example(r=0.9081, beta=0.98)
     def test_area_majorant(self, r, beta):
         check_area_majorant(r, beta)
+
+    # Across the modulus where the tail bound past n terms starts to fail, as
+    # pow evaluates it, f gains its term n + 1, a_{n+1} q^{n+1}, and nowhere
+    # else nearby.  The examples are moduli where the bound on the running
+    # power r * r * ... * r alone would stop one term off.
+    @given(beta=st.floats(0.0, 1.0), n=st.integers(1, 60), negative=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example(beta=0.48785665652414756, n=101, negative=False)
+    @example(beta=0.8599465287952899, n=32, negative=True)
+    def test_eval_extremal_stops_at_the_least_n(self, beta, n, negative):
+        s = 1.0 - beta
+        q = last_passing(lambda q: _f_tail_meets(q, s, beta, n))
+        term = 2.0 / (s * (n + 1) + beta) * q ** (n + 1)
+        jumps = term_jumps(lambda x: eval_extremal(-x if negative else x, beta), q)
+        assert jumps[3] > 0.5 * term and max(jumps[:3] + jumps[4:]) < 0.25 * term
+
+    # The same for the area series, whose term n + 1 is 4 (n+1) x^{n+1} /
+    # (s (n+1) + beta)^2 at x = r r; the example is one of the moduli above.
+    @given(beta=st.floats(0.0, 1.0), n=st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    @example(beta=0.31856625537613464, n=9)
+    def test_area_majorant_stops_at_the_least_n(self, beta, n):
+        s = 1.0 - beta
+        r = last_passing(lambda r: _area_tail_meets(r * r, s, beta, n))
+        term = 4.0 * (n + 1) / (s * (n + 1) + beta) ** 2 * (r * r) ** (n + 1)
+        jumps = term_jumps(lambda x: area_majorant(x, beta), r)
+        assert jumps[3] > 0.5 * term and max(jumps[:3] + jumps[4:]) < 0.25 * term
+
+    # At the largest modulus where MAX_TERMS terms meet the tail bound, each
+    # series sums them, within its stated error; at the next double it is
+    # refused.  Both crossings lie above the moduli up to which the cap is
+    # never tested, which are set from beta = 1, where they are least.  At the
+    # last beta, a length estimate from logarithms lands one term past
+    # MAX_TERMS at that modulus, where MAX_TERMS terms meet the bound.
+    @pytest.mark.parametrize("beta", [0.0, 1.0 - 1e-9, 1.0, 0.9999999999994107])
+    def test_eval_extremal_at_the_cap(self, beta):
+        q = last_passing(lambda q: _f_tail_meets(q, 1.0 - beta, beta, MAX_TERMS))
+        assert q > _F_CAP_ABOVE
+        check_eval_extremal(q, beta)
+        for r in (math.nextafter(q, 1.0), -math.nextafter(q, 1.0)):
+            with pytest.raises(ConvergenceError) as info:
+                eval_extremal(r, beta)
+            assert str(info.value) == too_long("extremal series", r)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0 - 1e-9, 1.0])
+    def test_area_majorant_at_the_cap(self, beta):
+        r = last_passing(lambda r: _area_tail_meets(r * r, 1.0 - beta, beta, MAX_TERMS))
+        assert r * r > _AREA_CAP_ABOVE
+        check_area_majorant(r, beta)
+        with pytest.raises(ConvergenceError) as info:
+            area_majorant(math.nextafter(r, 1.0), beta)
+        assert str(info.value) == too_long("area series", math.nextafter(r, 1.0))
 
 
 class TestConfigValidation:

@@ -740,3 +740,11 @@ class TestVerifyConfig:
         for samples in (MAX_SAMPLES + 1, 10**20):
             with pytest.raises(ValueError, match=f"^samples: must be <= 10000000, got {samples}$"):
                 VerifyConfig(samples=samples)
+
+    def test_caps_the_samples_times_atoms_per_beta(self):
+        # Every sample count allowed at 4 atoms or fewer stays allowed.
+        assert VerifyConfig(samples=MAX_SAMPLES, atoms=4).atoms == 4
+        assert VerifyConfig(samples=4000, atoms=MAX_ATOMS).samples == 4000
+        for samples, atoms, cap in ((10**7, 5, 8000000), (10**7, 7, 5714285), (4001, MAX_ATOMS, 4000)):
+            with pytest.raises(ValueError, match=f"^samples: must be <= {cap} at {atoms} atoms, got {samples}$"):
+                VerifyConfig(samples=samples, atoms=atoms)
