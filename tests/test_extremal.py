@@ -255,7 +255,7 @@ class TestSeriesSizing:
 
     # Across the modulus where the tail bound past n terms starts to fail, as
     # pow evaluates it, f gains its term n + 1, a_{n+1} q^{n+1}, and nowhere
-    # else nearby.  The examples are moduli where the bound on the running
+    # else nearby.  At the examples' moduli, the bound tested on the running
     # power r * r * ... * r alone would stop one term off.
     @given(beta=st.floats(0.0, 1.0), n=st.integers(1, 60), negative=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -269,7 +269,8 @@ class TestSeriesSizing:
         assert jumps[3] > 0.5 * term and max(jumps[:3] + jumps[4:]) < 0.25 * term
 
     # The same for the area series, whose term n + 1 is 4 (n+1) x^{n+1} /
-    # (s (n+1) + beta)^2 at x = r r; the example is one of the moduli above.
+    # (s (n+1) + beta)^2 at x = r r; the example is one of the moduli above
+    # for the area series.
     @given(beta=st.floats(0.0, 1.0), n=st.integers(1, 60))
     @settings(max_examples=60, deadline=None)
     @example(beta=0.31856625537613464, n=9)
