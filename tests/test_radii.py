@@ -359,6 +359,21 @@ class TestSolveRadius:
         with pytest.raises(BracketError, match=f"r = {lo!r} \\(tol = {tol!r}\\)"):
             solve_radius(problem(beta=0.5, m=3, p=0.01), tol)
 
+    def test_non_finite_equation_value_raises(self):
+        with pytest.raises(BracketError, match="not finite"):
+            solve_radius(custom(lambda r: math.nan))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_value_at_a_probe_raises(self, bad):
+        # Only +inf is bisected past; the bracket's lo end is finite.
+        with pytest.raises(BracketError, match="not finite"):
+            solve_radius(custom(lambda r: -1.0 if r < 0.1 else bad))
+
+    def test_inf_inside_the_bracket_raises(self):
+        # Finite at both probes, +inf where the first secant step lands.
+        with pytest.raises(BracketError, match="is inf, not finite"):
+            solve_radius(custom(lambda r: math.inf if 1e-3 < r < 0.3 else r * r - 0.1))
+
     @pytest.mark.parametrize(
         "beta, m, p, N, root, evaluations",
         [
