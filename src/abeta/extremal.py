@@ -86,22 +86,14 @@ def beta_value(beta: "BetaParam | float", strict: bool = False) -> float:
     return b.require_strict() if strict else b.value
 
 
-# Truncation error target of every certified series (eval_extremal scales
-# it by |r|), and the hard cap on a series' length.
+# Truncation error target of every certified series (eval_extremal scales it
+# by |r|), and the cap on a series' length: a series is refused where its tail
+# bound past MAX_TERMS terms, as _f_tail_meets or _area_tail_meets takes it with
+# pow, is above TOLERANCE, and its running stop may add one term past that.
+# Those bounds are largest at beta = 1, where s (n+1) + beta = 1, and meet
+# TOLERANCE at |r| = 0.9999900398 and r^2 = 0.9999861441: the cap binds above.
 TOLERANCE = 1e-12
 MAX_TERMS = 4_000_000
-
-# Each series stops at the least n whose tail bound, as _f_tail_meets and
-# _area_tail_meets evaluate it with pow, is <= TOLERANCE; that bound falls by a
-# factor below 1 - 6e-6 a term wherever a series fits MAX_TERMS.  Its loop
-# tests the bound on its running power and denominator, within 2e-9 of the pow
-# test for n <= MAX_TERMS (n - 1 products and n sums): it goes on while that
-# test fails widened by _WIDE, stops where it passes narrowed by _NARROW, and
-# lets the pow test decide in between.
-_WIDE, _NARROW = 1.0 + 2.0**-27, (1.0 - 2.0**-27) / (1.0 + 2.0**-27)
-# At n = MAX_TERMS the bounds are largest at beta = 1, where s (n+1) + beta =
-# 1, and grow with q = |r| and x = r^2, to TOLERANCE at q = 0.9999900398 and
-# x = 0.9999861441: the cap binds only above these.
 _F_CAP_ABOVE, _AREA_CAP_ABOVE = 0.99999, 0.999986
 
 
@@ -145,11 +137,11 @@ def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     because the coefficients are non-increasing in n.  The error is thus
     small next to f(r) ~ r as well: the radius equations raise f(r^m) to
     powers p < 1, which would magnify a merely absolute error at tiny r^m.
-    The stop is the bound's as pow evaluates it, in seven roundings and pow's
-    two (the running power's gamma_{n-1} decides only where it agrees), so
-    with rounding the error is at most (1 + gamma_9) TOLERANCE |r| + gamma_{3n}
-    f(|r|), gamma_k = k u / (1 - k u), u = 2^-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, sections 3.1 and 4.2).
+    The loop tests it as |r^n| <= TOLERANCE (1 - |r|) d / 2 on its running r^n,
+    within theta_{n-1}, and d = s (n+1) + beta, within theta_{n+1} after s and
+    n sums; 1 - |r| and two products add three.  So the error is at most (1 +
+    gamma_{2n+3}) TOLERANCE |r| + gamma_{3n} f(|r|), gamma_k = k u / (1 - k u),
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1, 4.2).
     """
     q = abs(r)
     if not q < 1.0:
@@ -160,12 +152,10 @@ def eval_extremal(r: float, beta: "BetaParam | float") -> float:
     s = 1.0 - b
     if q > _F_CAP_ABOVE and not _f_tail_meets(q, s, b, MAX_TERMS):
         raise _too_long("extremal series", r)
-    # term n + 1 is 2 r^(n+1) / d, d = s (n+1) + b stepped from 1 + s at n = 1,
-    # added while |r^n| > TOLERANCE (1 - q) d / 2; n = log|r^n| / log q.
-    wide = 0.5 * TOLERANCE * _WIDE * (1.0 - q)
+    # term n + 1 is 2 r^(n+1) / d, d = s (n+1) + b stepped from 1 + s at n = 1.
+    half = 0.5 * TOLERANCE * (1.0 - q)
     total, power, d = 0.0, r, 1.0 + s
-    while (lim := wide * d) < power or power < -lim or abs(power) > _NARROW * lim and not (
-            _f_tail_meets(q, s, b, round(math.log(abs(power)) / math.log(q)))):
+    while (lim := half * d) < power or power < -lim:
         power *= r
         total += power / d
         d += s
@@ -217,13 +207,15 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     certified absolute truncation error <= TOLERANCE.  Permits
     beta = 1 (the terms 4n r^{2n} still converge for r < 1).
 
-    The sum stops before the first term t_{n+1} whose ratio-test tail bound
-    t_{n+1} / (1 - x (n+1)/n), x = r^2, is <= TOLERANCE as pow evaluates it.
-    With rounding, the error of n terms summing to A is at most
-    (1 + gamma_{n+12}) TOLERANCE + gamma_{5n+1} A (gamma_k as in
-    eval_extremal).  Near beta, r -> 1 the series is thousands of terms
-    long: at r = 0.99, beta = 1 the result is 3.9e-11 off the exact value
-    4x/(1-x)^2 - 3x, x = r^2.
+    The sum stops before the first term t_j, j = n + 1, with t_j (j - 1) <=
+    TOLERANCE (j w - 1), x = r^2, w = 1 - x; the terms from t_j on fall by
+    ratios below x (j+1)/j, so they sum to at most t_j (j - 1) / (j w - 1 + x/j).
+    The loop's t_j is within theta_{4j+2} at the exact r^2, and its test rounds
+    three times more.  Its j w - 1, from the rounded x, w and j w, is within
+    j gamma_2 (no relative bound near j w = 1), which that x/j covers at every
+    stop with x >= 4 gamma_2; below that the tail is under 16 x^2.  So the error
+    of n terms summing to A is at most (1 + gamma_{4n+9}) TOLERANCE + gamma_{5n+1}
+    A (gamma_k as in eval_extremal): 5.0e-11 at r = 0.99, beta = 1.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
@@ -234,13 +226,11 @@ def area_majorant(r: float, beta: "BetaParam | float") -> float:
     s, w = 1.0 - b, 1.0 - x
     if x > _AREA_CAP_ABOVE and not _area_tail_meets(x, s, b, MAX_TERMS):
         raise _too_long("area series", r)
-    # term j = n + 1, t_j = 4 j x^j / d^2 with d = s j + b stepped from 1 + s, is
-    # added while t_j (j - 1) > TOLERANCE (j w - 1) / 4, surely if 4 t_j > TOLERANCE w.
-    wide = 0.25 * TOLERANCE * _WIDE
-    first = wide * w
+    # term j is 4 t, d = s j + b stepped from 1 + s; t > first implies the test fails.
+    quarter = 0.25 * TOLERANCE
+    first = quarter * w
     total, power, j, d = 0.0, x * x, 2.0, 1.0 + s
-    while (t := j * power / (d * d)) > first or t * (j - 1.0) > (lim := wide * (j * w - 1.0)) or (
-            t * (j - 1.0) > _NARROW * lim and not _area_tail_meets(x, s, b, int(j) - 1)):
+    while (t := j * power / (d * d)) > first or t * (j - 1.0) > quarter * (j * w - 1.0):
         total += t
         power *= x
         j += 1.0

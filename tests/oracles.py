@@ -238,43 +238,53 @@ def gamma(k: int) -> mpmath.mpf:
 
 
 def extremal_length(q: float) -> int:
-    """Most terms eval_extremal sums at |r| = q in (0, 1): it stops at the
-    least n with tail bound a_{n+1} q^n / (1 - q) <= TOLERANCE, and as
-    a_{n+1} <= 2, every n >= log(2 / (TOLERANCE (1 - q))) / log(1/q) has one."""
-    return max(1, math.ceil(math.log(2 / (TOLERANCE * (1 - q))) / -math.log(q)))
+    """Most terms eval_extremal sums at |r| = q in (0, 1).  As a_{n+1} <= 2,
+    with equality at beta = 1, the tail bound a_{n+1} q^n / (1 - q) meets
+    TOLERANCE at every n >= log(2 / (TOLERANCE (1 - q))) / log(1/q).  The
+    loop tests it within 1 + gamma_{2n+3}, and the logs here round too, so
+    one term more: the bound falls by a factor q a term, and 1 - q > 6e-6
+    wherever the series fits MAX_TERMS."""
+    return max(1, math.ceil(math.log(2 / (TOLERANCE * (1 - q))) / -math.log(q))) + 1
 
 
 def extremal_bound(r: float, beta: float) -> mpmath.mpf:
-    """eval_extremal's error: truncation TOLERANCE |r|, scaled by 1 + gamma_9
-    for the tail test's own roundings (seven, s = 1 - beta's among them, and
-    pow's two), plus rounding.  Term k of n, r^k after k - 1 products over
-    s k + beta after k - 1 sums and s, is within theta_{2k}; n - 2 sums and
-    the sum with r add n - 1: gamma_{3n} f(|r|)."""
+    """eval_extremal's error: truncation TOLERANCE |r|, scaled by
+    1 + gamma_{2n+3} for the running tail test's roundings (r^n within
+    theta_{n-1}, s (n+1) + beta within theta_{n+1}, and three more), plus
+    rounding.  Term k of n, r^k after k - 1 products over s k + beta after
+    k - 1 sums and s, is within theta_{2k}; n - 2 sums and the sum with r
+    add n - 1: gamma_{3n} f(|r|)."""
     q = abs(r)
     if q == 0.0:
         return mpmath.mpf(0)
-    return TOLERANCE * q * (1 + gamma(9)) + gamma(3 * extremal_length(q)) * true_f(q, beta)
+    n = extremal_length(q)
+    return TOLERANCE * q * (1 + gamma(2 * n + 3)) + gamma(3 * n) * true_f(q, beta)
 
 
 def area_length(x: float) -> int:
-    """Most terms area_majorant sums at x = r^2 in (0, 1): its least n has
-    tail bound 4 (n+1) x^{n+1} / ((s (n+1) + beta)^2 (1 - x (n+1)/n)) <=
-    TOLERANCE, and with s (n+1) + beta >= 1, 1 - x (n+1)/n >= (1 - x)/2 for
-    n >= 2 / (1 - x), and (n+1) x^{(n+1)/2} <= 2 / (e L), L = log(1/x), every
-    such n with (n+1) L / 2 >= log(16 / (e L (1 - x) TOLERANCE)) has one."""
+    """Most terms area_majorant sums at x = r^2 in (0, 1).  The tail bound
+    past n terms, 4 (n+1) x^{n+1} / ((s (n+1) + beta)^2 (1 - x (n+1)/n)),
+    meets TOLERANCE, as s (n+1) + beta >= 1, 1 - x (n+1)/n >= (1 - x)/2 for
+    n >= 2 / (1 - x), and (n+1) x^{(n+1)/2} <= 2 / (e L), L = log(1/x), at
+    every such n with (n+1) L / 2 >= log(16 / (e L (1 - x) TOLERANCE)).  The
+    loop tests it within 1 + gamma_{4n+9}, its j w - 1 > 1 there within
+    2 gamma_2 / (1 - x), and the logs here round too, so one term more: past
+    n >= 2 / (1 - x) the bound falls by a factor x (n+2)/(n+1) <= 1 - (1 - x)/2
+    a term, and 1 - x > 6e-6 wherever the series fits MAX_TERMS."""
     L = -math.log(x)
-    return max(math.ceil(2 / (1 - x)), math.ceil(2 * math.log(16 / (math.e * L * (1 - x) * TOLERANCE)) / L))
+    return max(math.ceil(2 / (1 - x)), math.ceil(2 * math.log(16 / (math.e * L * (1 - x) * TOLERANCE)) / L)) + 1
 
 
 def area_bound(r: float, beta: float) -> mpmath.mpf:
-    """area_majorant's error: truncation TOLERANCE, scaled by 1 + gamma_{n+12}
-    for the tail test's roundings and its x^{n+1} at the rounded x = r r,
-    plus rounding.  x^j is within theta_{2j-1}, (s j + beta)^2 within
-    theta_{2j+1}, and j x^j / (s j + beta)^2 adds two; n - 2 sums and the
-    sum with x add n - 1: gamma_{5n+1} times the sum."""
+    """area_majorant's error: truncation TOLERANCE, scaled by 1 + gamma_{4n+9}
+    for the running tail test's roundings (its term within theta_{4n+6} at
+    the exact r^2 and three more; its j w - 1 errs safe, as area_majorant
+    derives), plus rounding.  x^j is within theta_{2j-1}, (s j + beta)^2
+    within theta_{2j+1}, and j x^j / (s j + beta)^2 adds two; n - 2 sums and
+    the sum with x add n - 1: gamma_{5n+1} times the sum."""
     x = r * r
     n = area_length(x) if x > 0.0 else 1
-    return TOLERANCE * (1 + gamma(n + 12)) + gamma(5 * n + 1) * true_area(r, beta)
+    return TOLERANCE * (1 + gamma(4 * n + 9)) + gamma(5 * n + 1) * true_area(r, beta)
 
 
 def head_bound(N: int, head) -> mpmath.mpf:
