@@ -238,13 +238,11 @@ def gamma(k: int) -> mpmath.mpf:
 
 
 def extremal_length(q: float) -> int:
-    """Most terms eval_extremal sums at |r| = q in (0, 1).  As a_{n+1} <= 2,
-    with equality at beta = 1, the tail bound a_{n+1} q^n / (1 - q) meets
-    TOLERANCE at every n >= log(2 / (TOLERANCE (1 - q))) / log(1/q).  The
-    loop tests it within 1 + gamma_{2n+3}, and the logs here round too, so
-    one term more: the bound falls by a factor q a term, and 1 - q > 6e-6
-    wherever the series fits MAX_TERMS."""
-    return max(1, math.ceil(math.log(2 / (TOLERANCE * (1 - q))) / -math.log(q))) + 1
+    """Least n at which f's tail bound past n terms, a_{n+1} q^n / (1 - q),
+    meets TOLERANCE at |r| = q in (0, 1) for every beta: as a_{n+1} <= 2, with
+    equality at beta = 1, every n >= log(2 / (TOLERANCE (1 - q))) / log(1/q)
+    has it.  Where it passes MAX_TERMS, eval_extremal may refuse the series."""
+    return max(1, math.ceil(math.log(2 / (TOLERANCE * (1 - q))) / -math.log(q)))
 
 
 def extremal_bound(r: float, beta: float) -> mpmath.mpf:
@@ -253,26 +251,30 @@ def extremal_bound(r: float, beta: float) -> mpmath.mpf:
     theta_{n-1}, s (n+1) + beta within theta_{n+1}, and three more), plus
     rounding.  Term k of n, r^k after k - 1 products over s k + beta after
     k - 1 sums and s, is within theta_{2k}; n - 2 sums and the sum with r
-    add n - 1: gamma_{3n} f(|r|)."""
+    add n - 1: gamma_{3n} f(|r|).  The loop sums at most extremal_length(q)
+    + 1 terms: at beta = 1 the running test, within 1 + gamma_{2n+3} of the
+    bound, may stop a term past the least n, and the logs of extremal_length
+    may round below it; one term more covers both at once, as the bound falls
+    by a factor q a term and 1 - q > 6e-6 wherever the series fits MAX_TERMS."""
     q = abs(r)
     if q == 0.0:
         return mpmath.mpf(0)
-    n = extremal_length(q)
+    n = extremal_length(q) + 1
     return TOLERANCE * q * (1 + gamma(2 * n + 3)) + gamma(3 * n) * true_f(q, beta)
 
 
 def area_length(x: float) -> int:
-    """Most terms area_majorant sums at x = r^2 in (0, 1).  The tail bound
-    past n terms, 4 (n+1) x^{n+1} / ((s (n+1) + beta)^2 (1 - x (n+1)/n)),
-    meets TOLERANCE, as s (n+1) + beta >= 1, 1 - x (n+1)/n >= (1 - x)/2 for
-    n >= 2 / (1 - x), and (n+1) x^{(n+1)/2} <= 2 / (e L), L = log(1/x), at
-    every such n with (n+1) L / 2 >= log(16 / (e L (1 - x) TOLERANCE)).  The
-    loop tests it within 1 + gamma_{4n+9}, its j w - 1 > 1 there within
-    2 gamma_2 / (1 - x), and the logs here round too, so one term more: past
-    n >= 2 / (1 - x) the bound falls by a factor x (n+2)/(n+1) <= 1 - (1 - x)/2
-    a term, and 1 - x > 6e-6 wherever the series fits MAX_TERMS."""
+    """Most terms area_majorant sums at x = r^2 in (0, 1).  Its tail bound
+    past n terms is 4 (n+1) x^{n+1} / ((s (n+1) + beta)^2 (1 - x (n+1)/n)),
+    and with s (n+1) + beta >= 1, 1 - x (n+1)/n >= (1 - x)/2 for
+    n >= 2 / (1 - x), and (n+1) x^{(n+1)/2} <= 2 / (e L), L = log(1/x), it
+    meets TOLERANCE at every such n with y = (n+1) L / 2 >= log(16 / (e L
+    (1 - x) TOLERANCE)).  The last relaxation is loose by the factor
+    y e^{1-y}, and y > 22.7 as L < 745, so there the bound is below 1e-8
+    TOLERANCE: the running test, its roundings and the logs here stop the
+    loop by this n, with no term more."""
     L = -math.log(x)
-    return max(math.ceil(2 / (1 - x)), math.ceil(2 * math.log(16 / (math.e * L * (1 - x) * TOLERANCE)) / L)) + 1
+    return max(math.ceil(2 / (1 - x)), math.ceil(2 * math.log(16 / (math.e * L * (1 - x) * TOLERANCE)) / L))
 
 
 def area_bound(r: float, beta: float) -> mpmath.mpf:

@@ -253,10 +253,11 @@ class TestSeriesSizing:
 
     # Around the modulus where the tail bound past n terms starts to fail, as
     # pow takes it, f's running test, which rounds more, may stop a term on
-    # either side of the pow test's least n; a stop a term too early would
-    # leave a tail above the stated bound.  At that modulus and the three
-    # doubles on each side the value is within its stated bound of the truth.
-    # At the examples' moduli the running test stops one term off the pow test.
+    # either side of the pow test's least n.  At that modulus and the three
+    # doubles on each side the value is within its stated bound of the truth;
+    # a stop a term too early fails this only where the tail it leaves is
+    # above that bound.  At the examples' moduli the running test stops one
+    # term off the pow test.
     @given(beta=st.floats(0.0, 1.0), n=st.integers(1, 60), negative=st.booleans())
     @settings(max_examples=60, deadline=None)
     @example(beta=0.48785665652414756, n=101, negative=False)
